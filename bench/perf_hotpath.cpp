@@ -24,6 +24,14 @@
 //     4-lane digest loop vs. one fnv1a call per key over the same 4096
 //     placement-shaped keys.
 //
+// Served-path benches (DESIGN.md §13-14 -- the per-byte costs of one
+// large-value request on a worker):
+//   - frame.body_checksum_GBps: netio::body_checksum over a 64 KiB body,
+//     the integrity sum every frame encode and decode pays;
+//   - rt_ec.ec_put_us / ec_get_us: median latency of one rt::ec::put /
+//     ec::get of a 64 KiB value under RS(4,2), over a ShardedStore whose
+//     resident stripes (2048 keys, ~192 MiB) exceed the last-level cache.
+//
 // Output: BENCH_hotpath.json (or $MEMFSS_BENCH_OUT) with rows of
 //   {"bench", "metric", "value", "unit", "seed"}
 // -- the schema scripts/bench_perf.sh commits at the repo root so future
@@ -31,6 +39,7 @@
 // against. Wall-clock numbers are machine-dependent; the trajectory is
 // only meaningful within one machine, which is why the committed file is
 // regenerated (baseline rows preserved) rather than diffed.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +55,9 @@
 #include "fs/placement.hpp"
 #include "hash/hashes.hpp"
 #include "net/fabric.hpp"
+#include "netio/frame.hpp"
+#include "rt/ec.hpp"
+#include "rt/sharded_store.hpp"
 #include "sim/simulator.hpp"
 
 using namespace memfss;
@@ -272,6 +284,86 @@ void bench_hash_batch() {
        "MB/s");
 }
 
+// --- frame: wire integrity checksum GB/s -------------------------------------
+
+void bench_frame() {
+  Rng rng(kSeed);
+  std::vector<std::uint8_t> body(64 * 1024);
+  for (auto& b : body) b = std::uint8_t(rng.next_u64());
+  std::size_t reps = 64;
+  double dt = 0.0;
+  unsigned sum = 0;
+  do {
+    reps *= 2;
+    const double t0 = now_sec();
+    for (std::size_t r = 0; r < reps; ++r)
+      sum += netio::body_checksum(body.data(), body.size() - (r & 1));
+    dt = now_sec() - t0;
+  } while (dt < 0.2);
+  volatile unsigned sink = sum;
+  (void)sink;
+  emit("frame", "body_checksum_GBps",
+       static_cast<double>(reps) * static_cast<double>(body.size()) / dt / 1e9,
+       "GB/s");
+}
+
+// --- rt_ec: erasure-coded put/get latency ------------------------------------
+
+double median_us(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+void bench_rt_ec() {
+  // 2048 keys x 64 KiB x 1.5 (RS(4,2) overhead) = 192 MiB of resident
+  // siblings: gets and overwrites miss the last-level cache, as they do
+  // on a loaded server. Values come from a small pool of pre-hashed
+  // blobs, the way the reactor hands them to a worker.
+  constexpr std::size_t kKeys = 2048;
+  constexpr std::size_t kValue = 64 * 1024;
+  const std::string token = "tok";
+  rt::ShardedStore store({16, Bytes{512} * units::MiB, token, nullptr});
+  const erasure::ReedSolomon rs(4, 2);
+  Rng rng(kSeed);
+  std::vector<kvstore::Blob> values;
+  for (std::size_t i = 0; i < 16; ++i) {
+    std::vector<std::uint8_t> v(kValue);
+    for (auto& b : v) b = std::uint8_t(rng.next_u64());
+    values.push_back(kvstore::Blob::materialized(std::move(v)));
+  }
+  std::vector<std::string> keys;
+  for (std::size_t k = 0; k < kKeys; ++k)
+    keys.push_back("ec-bench-key-" + std::to_string(k));
+  auto put = [&](std::size_t k, std::size_t v) {
+    if (!rt::ec::put(store, token, keys[k], values[v % values.size()], rs)
+             .ok()) {
+      std::fprintf(stderr, "rt_ec bench: put %zu failed\n", k);
+      std::exit(1);
+    }
+  };
+  for (std::size_t k = 0; k < kKeys; ++k) put(k, k);  // populate, untimed
+
+  std::vector<double> put_us, get_us;
+  for (std::size_t k = 0; k < kKeys; ++k) {  // overwrite: the steady state
+    const double t0 = now_sec();
+    put(k, k + 1);
+    put_us.push_back((now_sec() - t0) * 1e6);
+  }
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    const double t0 = now_sec();
+    auto got = rt::ec::get(store, token, keys[k]);
+    get_us.push_back((now_sec() - t0) * 1e6);
+    if (!got.ok() ||
+        got.value().checksum() != values[(k + 1) % values.size()].checksum()) {
+      std::fprintf(stderr, "rt_ec bench: get %zu returned a wrong value\n",
+                   k);
+      std::exit(1);
+    }
+  }
+  emit("rt_ec", "ec_put_us", median_us(put_us), "us");
+  emit("rt_ec", "ec_get_us", median_us(get_us), "us");
+}
+
 // --- macro: fig2-shaped dd bag -----------------------------------------------
 
 void bench_fig2_ddbag() {
@@ -320,6 +412,8 @@ int main(int argc, char** argv) {
   bench_simulator();
   bench_erasure();
   bench_hash_batch();
+  bench_frame();
+  bench_rt_ec();
   bench_fig2_ddbag();
   write_json(out);
   return 0;

@@ -16,11 +16,12 @@
 # data placement, so both stay fully tested.
 #
 # --perf builds Release in build-perf/, runs bench/perf_hotpath, and
-# fails if sim events/sec or the SIMD byte-pump rows (erasure GB/s, batch
-# hash MB/s) regress more than 20% against the committed
-# BENCH_hotpath.json, or if RS(8,3) encode falls under 5x the committed
-# pre-SIMD scalar baseline (erasure_prepr) while a SIMD kernel is
-# selected. Only meaningful on the machine that produced the committed
+# fails if sim events/sec, the SIMD byte-pump rows (erasure GB/s, batch
+# hash MB/s), the frame checksum GB/s or the erasure-coded put/get
+# latency (rt_ec, lower is better) regress more than 20% against the
+# committed BENCH_hotpath.json, or if RS(8,3) encode falls under 5x the
+# committed pre-SIMD scalar baseline (erasure_prepr) while a SIMD kernel
+# is selected. Only meaningful on the machine that produced the committed
 # numbers (wall-clock benches don't transfer across hosts).
 #
 # --tsan builds with ThreadSanitizer (-DMEMFSS_SANITIZE=thread) in
@@ -180,8 +181,9 @@ do_perf() {
   fresh=$(mktemp)
   ./build-perf/bench/perf_hotpath "$fresh"
   # Compare the scalars least prone to run-to-run noise: event-loop
-  # throughput plus the byte-pump rows (coding GB/s, batch-hash MB/s).
-  # A >20% drop against any committed number is a regression, and the
+  # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s, frame
+  # checksum GB/s) and the served EC put/get latencies. A >20% move the
+  # wrong way against any committed number is a regression, and the
   # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
   # baseline whenever a vector kernel is active.
   python3 - "$fresh" BENCH_hotpath.json <<'EOF'
@@ -193,17 +195,21 @@ def row(path, bench, metric):
     sys.exit(f"{path}: no {bench} {metric} row")
 fresh_path, committed_path = sys.argv[1], sys.argv[2]
 failures = []
-for bench, metric in [("sim", "events_per_sec"),
-                      ("erasure", "rs_encode_GBps"),
-                      ("erasure", "rs_decode_loss_GBps"),
-                      ("hash", "fnv_batch_MBps")]:
+# (bench, metric, higher_is_better); ratio < 0.8 means 20% worse.
+for bench, metric, higher in [("sim", "events_per_sec", True),
+                              ("erasure", "rs_encode_GBps", True),
+                              ("erasure", "rs_decode_loss_GBps", True),
+                              ("hash", "fnv_batch_MBps", True),
+                              ("frame", "body_checksum_GBps", True),
+                              ("rt_ec", "ec_put_us", False),
+                              ("rt_ec", "ec_get_us", False)]:
     fresh = row(fresh_path, bench, metric)
     committed = row(committed_path, bench, metric)
-    ratio = fresh / committed
+    ratio = fresh / committed if higher else committed / fresh
     print(f"{bench}.{metric}: fresh {fresh:.3g} vs committed "
           f"{committed:.3g} (ratio {ratio:.2f})")
     if ratio < 0.8:
-        failures.append(f"{bench}.{metric} dropped more than 20%")
+        failures.append(f"{bench}.{metric} regressed more than 20%")
 # The dispatch win itself: SIMD encode vs the committed pre-SIMD scalar
 # baseline. Skipped when the host pinned/selected the scalar kernel
 # (fresh active row ~ fresh scalar row), since the 5x claim is about the

@@ -28,10 +28,11 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b);
 std::uint64_t fnv1a(std::string_view bytes);
 
 /// Batch FNV-1a: out[i] = fnv1a(keys[i]) for every i, bit-identical to
-/// the one-at-a-time call. Four independent hash chains are advanced in
-/// lockstep so the 64-bit multiply latency of one chain hides behind
-/// the other three -- FNV's byte-serial dependency chain is the
-/// throughput limiter, not memory. Requires out.size() >= keys.size().
+/// the one-at-a-time call. Four independent hash chains (two or three
+/// for a leftover group) are advanced in lockstep so the 64-bit multiply
+/// latency of one chain hides behind the others -- FNV's byte-serial
+/// dependency chain is the throughput limiter, not memory. Requires
+/// out.size() >= keys.size().
 /// This is the per-stripe-key digest path batched: hashing many sibling
 /// /stripe keys per call instead of one per lookup (DESIGN.md §14).
 void fnv1a_many(std::span<const std::string_view> keys,

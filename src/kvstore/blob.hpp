@@ -20,6 +20,14 @@ class Blob {
   /// A blob backed by real bytes.
   static Blob materialized(std::vector<std::uint8_t> bytes);
 
+  /// A blob backed by real bytes whose FNV-1a the caller already holds,
+  /// so large values are not hashed twice. `fnv` must be exactly
+  /// hash::fnv1a over `bytes` -- computed or verified over these very
+  /// bytes just before the call; the result is indistinguishable from
+  /// materialized(bytes).
+  static Blob materialized_with_checksum(std::vector<std::uint8_t> bytes,
+                                         std::uint64_t fnv);
+
   /// A size-only blob; `tag` stands in for the content (checksummed).
   static Blob ghost(Bytes size, std::uint64_t tag = 0);
 
@@ -27,6 +35,15 @@ class Blob {
   bool is_ghost() const { return data_.empty() && size_ > 0; }
   std::uint64_t checksum() const { return checksum_; }
   std::span<const std::uint8_t> bytes() const { return data_; }
+
+  /// Move the bytes out of an expiring blob without copying them; the
+  /// blob is left empty, as if default-constructed.
+  std::vector<std::uint8_t> take_bytes() && {
+    size_ = 0;
+    checksum_ = 0;
+    corrupted_ = false;
+    return std::move(data_);
+  }
 
   bool operator==(const Blob& o) const {
     return size_ == o.size_ && checksum_ == o.checksum_ && data_ == o.data_;

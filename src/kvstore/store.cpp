@@ -1,6 +1,7 @@
 #include "kvstore/store.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "hash/hashes.hpp"
 
@@ -13,6 +14,18 @@ Blob Blob::materialized(std::vector<std::uint8_t> bytes) {
   b.size_ = bytes.size();
   b.checksum_ = memfss::hash::fnv1a(
       {reinterpret_cast<const char*>(bytes.data()), bytes.size()});
+  b.data_ = std::move(bytes);
+  return b;
+}
+
+Blob Blob::materialized_with_checksum(std::vector<std::uint8_t> bytes,
+                                     std::uint64_t fnv) {
+  assert(fnv == memfss::hash::fnv1a(
+                    {reinterpret_cast<const char*>(bytes.data()),
+                     bytes.size()}));
+  Blob b;
+  b.size_ = bytes.size();
+  b.checksum_ = fnv;
   b.data_ = std::move(bytes);
   return b;
 }

@@ -1,5 +1,7 @@
 #include "netio/frame.hpp"
 
+#include <algorithm>
+
 #include "common/result.hpp"
 
 namespace memfss::netio {
@@ -39,40 +41,55 @@ std::uint16_t body_checksum(const std::uint8_t* body, std::size_t n) {
   // Plain byte sum mod 65521 (the largest prime under 2^16): a single
   // corrupted byte shifts the sum by a nonzero delta in [-255, 255],
   // which is never 0 mod 65521, so every one-byte flip is detected.
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == kChecksumOffset || i == kChecksumOffset + 1) continue;
-    sum += body[i];
-    if (sum >= 0xfff00000u) sum %= 65521u;
+  //
+  // Computed as the widened sum of *all* bytes minus the two checksum
+  // bytes, reduced once at the end: no per-byte branch, and the
+  // fixed-length inner block (whose u32 partial sum cannot overflow)
+  // vectorizes even at -O2.
+  constexpr std::size_t kBlock = 64;
+  std::uint64_t sum = 0;
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::uint32_t block = 0;
+    for (std::size_t j = 0; j < kBlock; ++j) block += body[i + j];
+    sum += block;
   }
-  sum %= 65521u;
-  return sum == 0 ? 0xffffu : static_cast<std::uint16_t>(sum);
+  for (; i < n; ++i) sum += body[i];
+  if (n > kChecksumOffset) sum -= body[kChecksumOffset];
+  if (n > kChecksumOffset + 1) sum -= body[kChecksumOffset + 1];
+  const auto r = static_cast<std::uint16_t>(sum % 65521u);
+  return r == 0 ? 0xffffu : r;
 }
 
 void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
-  std::size_t body_start = 0;
-  if (f.kind == Frame::Kind::request) {
-    const std::size_t body =
-        kRequestFixedLen + f.key.size() + f.value.size();
-    out.reserve(out.size() + kHeaderLen + body);
-    put_u32(out, kRequestMagic);
-    put_u32(out, static_cast<std::uint32_t>(body));
-    body_start = out.size();
+  encode_frame(f, f.value, out);
+}
+
+void encode_frame(const Frame& f, std::span<const std::uint8_t> value,
+                  std::vector<std::uint8_t>& out) {
+  const bool request = f.kind == Frame::Kind::request;
+  const std::size_t body = request
+                               ? kRequestFixedLen + f.key.size() + value.size()
+                               : kResponseFixedLen + value.size();
+  // Grow geometrically, and only when capacity is short: callers append
+  // many frames to one buffer, and an exact reserve per frame would
+  // reallocate (and copy everything so far) on every append.
+  const std::size_t need = out.size() + kHeaderLen + body;
+  if (need > out.capacity())
+    out.reserve(std::max(need, 2 * out.capacity()));
+  put_u32(out, request ? kRequestMagic : kResponseMagic);
+  put_u32(out, static_cast<std::uint32_t>(body));
+  const std::size_t body_start = out.size();
+  if (request) {
     out.push_back(f.opcode);
     out.push_back(f.flags);
     put_u16(out, 0);  // checksum placeholder, patched below
     put_u32(out, f.tenant);
     put_u64(out, f.request_id);
     put_u32(out, static_cast<std::uint32_t>(f.key.size()));
-    put_u32(out, static_cast<std::uint32_t>(f.value.size()));
+    put_u32(out, static_cast<std::uint32_t>(value.size()));
     out.insert(out.end(), f.key.begin(), f.key.end());
-    out.insert(out.end(), f.value.begin(), f.value.end());
   } else {
-    const std::size_t body = kResponseFixedLen + f.value.size();
-    out.reserve(out.size() + kHeaderLen + body);
-    put_u32(out, kResponseMagic);
-    put_u32(out, static_cast<std::uint32_t>(body));
-    body_start = out.size();
     out.push_back(f.status);
     out.push_back(f.flags);
     put_u16(out, 0);  // checksum placeholder, patched below
@@ -80,10 +97,10 @@ void encode_frame(const Frame& f, std::vector<std::uint8_t>& out) {
     put_u64(out, f.request_id);
     put_u64(out, f.seq);
     put_u64(out, f.checksum);
-    put_u32(out, static_cast<std::uint32_t>(f.value.size()));
+    put_u32(out, static_cast<std::uint32_t>(value.size()));
     put_u32(out, f.value_size);
-    out.insert(out.end(), f.value.begin(), f.value.end());
   }
+  out.insert(out.end(), value.begin(), value.end());
   const std::uint16_t sum =
       body_checksum(out.data() + body_start, out.size() - body_start);
   out[body_start + kChecksumOffset] = static_cast<std::uint8_t>(sum);

@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,7 +118,15 @@ inline constexpr std::size_t kChecksumOffset = 2;
 std::uint16_t body_checksum(const std::uint8_t* body, std::size_t n);
 
 /// Serialize `f` (using the fields of its kind) and append to `out`.
+/// The buffer grows geometrically, so appending many frames to one
+/// buffer costs amortized O(1) reallocations per frame.
 void encode_frame(const Frame& f, std::vector<std::uint8_t>& out);
+
+/// As above, with `value` as the frame's value bytes (f.value is
+/// ignored): lets a server encode a response straight from a stored
+/// blob's bytes without first copying them into a Frame.
+void encode_frame(const Frame& f, std::span<const std::uint8_t> value,
+                  std::vector<std::uint8_t>& out);
 
 /// Convenience: encode into a fresh buffer.
 std::vector<std::uint8_t> encode(const Frame& f);

@@ -1,6 +1,7 @@
 #include "rt/ec.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "hash/hashes.hpp"
@@ -97,16 +98,24 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
   }
 
   if (!bytes.empty()) {
-    // Code the whole stripe in one pass into a contiguous arena, then
-    // hand each shard slice to its own sibling key.
-    std::vector<std::uint8_t> arena(total * ss);
+    // Code the whole stripe in one pass straight into the sibling
+    // buffers, hash all k+m siblings in one batched call, then hand each
+    // buffer to its own sibling key.
+    std::vector<std::vector<std::uint8_t>> shards(total);
     std::vector<std::uint8_t*> ptrs(total);
-    for (std::size_t i = 0; i < total; ++i) ptrs[i] = arena.data() + i * ss;
-    if (auto st = rs.encode_into(bytes, ptrs.data(), ss); !st.ok()) return st;
+    std::vector<std::string_view> views(total);
     for (std::size_t i = 0; i < total; ++i) {
-      std::vector<std::uint8_t> shard(ptrs[i], ptrs[i] + ss);
+      shards[i].resize(ss);
+      ptrs[i] = shards[i].data();
+      views[i] = {reinterpret_cast<const char*>(ptrs[i]), ss};
+    }
+    if (auto st = rs.encode_into(bytes, ptrs.data(), ss); !st.ok()) return st;
+    std::vector<std::uint64_t> sums(total);
+    hash::fnv1a_many(views, sums);
+    for (std::size_t i = 0; i < total; ++i) {
       auto st = store.put(token, shard_key(key, i),
-                          kvstore::Blob::materialized(std::move(shard)),
+                          kvstore::Blob::materialized_with_checksum(
+                              std::move(shards[i]), sums[i]),
                           nullptr, tenant);
       if (!st.ok()) {
         // Never leave a half-written stripe readable: roll this
@@ -117,8 +126,12 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
     }
   }
 
+  // A materialized value already carries fnv1a(bytes) -- the reactor
+  // computed it when the frame arrived -- so the manifest reuses it
+  // rather than hashing the payload again. A ghost has no bytes to code
+  // and its checksum is not an FNV, so its manifest holds fnv1a("").
   const Manifest mf{rs.data_shards(), rs.parity_shards(), bytes.size(),
-                    payload_fnv(bytes)};
+                    bytes.empty() ? hash::fnv1a_seed() : value.checksum()};
   if (auto st = store.put(token, manifest_key(key), encode_manifest(mf), seq,
                           tenant);
       !st.ok()) {
@@ -161,12 +174,10 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
     auto fetch = [&](std::size_t i) -> Errc {
       auto r = store.get(token, shard_key(key, i));
       if (r.code() == Errc::permission) return Errc::permission;
-      if (r.ok()) {
-        const auto b = r.value().bytes();
-        // A wrong-size sibling is a torn write: treat it as missing so
-        // it cannot poison the decode.
-        if (b.size() == ss) shards[i].assign(b.begin(), b.end());
-      }
+      // A wrong-size sibling is a torn write: treat it as missing so it
+      // cannot poison the decode.
+      if (r.ok() && r.value().bytes().size() == ss)
+        shards[i] = std::move(r).value().take_bytes();
       return Errc::ok;
     };
     for (std::size_t i = 0; i < mf->k; ++i) {
@@ -200,8 +211,12 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
       if (reconstructed) *reconstructed = true;
     }
 
+    // The one hash of the reassembled payload: it verifies the stripe
+    // against the manifest and, once it matches, is the returned blob's
+    // checksum.
     if (payload_fnv(payload) == mf->checksum)
-      return kvstore::Blob::materialized(std::move(payload));
+      return kvstore::Blob::materialized_with_checksum(std::move(payload),
+                                                       mf->checksum);
     last = {Errc::corruption, "stripe checksum mismatch"};
   }
   return last.error();

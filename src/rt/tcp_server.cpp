@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -262,13 +263,17 @@ struct TcpServer::Reactor {
             resp.seq = *r.seq;
           }
           if (is_exists && r.found) resp.flags |= netio::kFlagFound;
+          // A GET's value goes onto the wire straight from the result
+          // blob's bytes: one copy, into the buffer the reactor sends.
+          std::span<const std::uint8_t> value;
           if (is_get && r.code == Errc::ok) {
             resp.checksum = r.value.checksum();
             resp.value_size = static_cast<std::uint32_t>(r.value.size());
-            const auto bytes = r.value.bytes();
-            resp.value.assign(bytes.begin(), bytes.end());
+            value = r.value.bytes();
           }
-          q->post(cid, netio::encode(resp));
+          std::vector<std::uint8_t> out;
+          netio::encode_frame(resp, value, out);
+          q->post(cid, std::move(out));
         });
   }
 
@@ -378,7 +383,11 @@ struct TcpServer::Reactor {
       Conn& c = *it->second;
       if (c.pending > 0) --c.pending;
       c.last_activity = Clock::now();
-      c.wbuf.insert(c.wbuf.end(), bytes.begin(), bytes.end());
+      // Nothing queued: adopt the posted buffer instead of copying it.
+      if (c.wbuf.empty())
+        c.wbuf.swap(bytes);
+      else
+        c.wbuf.insert(c.wbuf.end(), bytes.begin(), bytes.end());
       metrics().count("rt.net.frames_out");
       if (!try_flush(c)) continue;
       // A client that pipelines requests but never drains responses

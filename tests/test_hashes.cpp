@@ -100,6 +100,29 @@ TEST(Fnv1aMany, MatchesSingleShotLargeUniformBatch) {
     ASSERT_EQ(out[i], fnv1a(views[i])) << i;
 }
 
+TEST(Fnv1aMany, MatchesSingleShotSiblingShapedBatches) {
+  // Stripe-sibling shapes: batch sizes 1..9 (every leftover group size
+  // after the 4-lane groups), with all keys of one length and with
+  // ragged lengths so each lane group runs a serial tail.
+  std::string pool(9 * 2100, '\0');
+  std::uint64_t x = 5;
+  for (auto& c : pool) c = static_cast<char>(mix64(x++, 0));
+  for (const bool ragged : {false, true}) {
+    for (std::size_t n = 1; n <= 9; ++n) {
+      std::vector<std::string_view> keys;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t len = ragged ? 2048 - 37 * i + (i % 3) * 11 : 2048;
+        keys.push_back(std::string_view(pool).substr(i * 2100, len));
+      }
+      std::vector<std::uint64_t> out(n, 0xDEAD);
+      fnv1a_many(keys, out);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(out[i], fnv1a(keys[i]))
+            << "ragged=" << ragged << " n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(Fnv1aMany, KnownVectors) {
   const std::vector<std::string_view> keys{"", "a", "foobar"};
   std::vector<std::uint64_t> out(3);

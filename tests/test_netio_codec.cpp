@@ -12,8 +12,13 @@
 //      the decoder must always return need_more/frame/error and never
 //      read out of bounds (ASan is the referee) or allocate from a
 //      length prefix beyond its bound.
+//   4. Checksum equivalence: body_checksum equals a plain reference
+//      byte loop for every length and alignment, large random bodies
+//      and an all-0xFF body of the maximum frame size.
+//   5. Appending many frames to one buffer reallocates O(log n) times.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -301,6 +306,100 @@ TEST(NetioCodec, SingleBitFlipNeverYieldsAFrame) {
   }
   EXPECT_GT(body_flips, 0u);
   EXPECT_GT(header_errors, 0u);
+}
+
+// The checksum as the wire format defines it, one byte at a time: the
+// body sum with the two checksum bytes read as zero, mod 65521, 0 sent
+// as 0xFFFF. body_checksum must agree on every value.
+std::uint16_t reference_checksum(const std::uint8_t* body, std::size_t n) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (i != kChecksumOffset && i != kChecksumOffset + 1) sum += body[i];
+  const auto r = static_cast<std::uint16_t>(sum % 65521u);
+  return r == 0 ? 0xffffu : r;
+}
+
+TEST(NetioCodec, BodyChecksumMatchesReferenceEveryLengthAndOffset) {
+  Rng rng(11);
+  std::vector<std::uint8_t> buf(300 + 64);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t off = 0; off < 64; ++off)
+    for (std::size_t n = 0; n <= 300; ++n)
+      ASSERT_EQ(body_checksum(buf.data() + off, n),
+                reference_checksum(buf.data() + off, n))
+          << "n=" << n << " off=" << off;
+}
+
+TEST(NetioCodec, BodyChecksumMatchesReferenceOnLargeBodies) {
+  Rng rng(12);
+  std::vector<std::uint8_t> random(1u << 20);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next_u64());
+  EXPECT_EQ(body_checksum(random.data(), random.size()),
+            reference_checksum(random.data(), random.size()));
+  // The largest sum a frame can produce: every byte 0xFF at the maximum
+  // body length the decoder accepts.
+  const std::vector<std::uint8_t> ones(kDefaultMaxBody, 0xFF);
+  EXPECT_EQ(body_checksum(ones.data(), ones.size()),
+            reference_checksum(ones.data(), ones.size()));
+  // A sum that is 0 mod 65521 is sent as 0xFFFF: byte 0 plus the 65520
+  // ones after the (ignored, nonzero) checksum field sum to 65521.
+  std::vector<std::uint8_t> zero_sum(4 + 65520, 1);
+  zero_sum[1] = 0;
+  EXPECT_EQ(body_checksum(zero_sum.data(), zero_sum.size()), 0xFFFFu);
+  EXPECT_EQ(reference_checksum(zero_sum.data(), zero_sum.size()), 0xFFFFu);
+}
+
+TEST(NetioCodec, AppendingManyFramesReallocatesLogarithmically) {
+  Rng rng(13);
+  std::vector<Frame> frames;
+  for (int i = 0; i < 10000; ++i) {
+    frames.push_back(random_frame(rng));
+    if (frames.back().value.size() > 256) frames.back().value.resize(256);
+    if (frames.back().kind == Frame::Kind::response &&
+        !frames.back().value.empty())
+      frames.back().value_size =
+          static_cast<std::uint32_t>(frames.back().value.size());
+  }
+  std::vector<std::uint8_t> stream;
+  std::size_t reallocations = 0;
+  for (const Frame& f : frames) {
+    const std::size_t cap = stream.capacity();
+    encode_frame(f, stream);
+    if (stream.capacity() != cap) ++reallocations;
+  }
+  // Doubling from the first frame to the final size, plus slack.
+  EXPECT_LE(reallocations,
+            static_cast<std::size_t>(std::log2(double(stream.size()))) + 2)
+      << stream.size() << " bytes";
+  // The shared stream decodes to exactly the frames, as the one-frame-
+  // per-buffer encoding does.
+  std::vector<std::uint8_t> separate;
+  for (const Frame& f : frames) {
+    const auto one = encode(f);
+    separate.insert(separate.end(), one.begin(), one.end());
+  }
+  EXPECT_EQ(stream, separate);
+  FrameDecoder dec;
+  dec.feed(stream.data(), stream.size());
+  Frame out;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(dec.next(out), Decode::frame) << i;
+    ASSERT_EQ(out, frames[i]) << i;
+  }
+  EXPECT_EQ(dec.next(out), Decode::need_more);
+}
+
+TEST(NetioCodec, EncodingFromAValueSpanEqualsEncodingTheFrameValue) {
+  Rng rng(14);
+  for (int iter = 0; iter < 200; ++iter) {
+    Frame f = random_frame(rng);
+    const auto expected = encode(f);
+    const std::vector<std::uint8_t> value = std::move(f.value);
+    f.value.clear();
+    std::vector<std::uint8_t> got;
+    encode_frame(f, value, got);
+    ASSERT_EQ(got, expected) << "iter " << iter;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "hash/hashes.hpp"
 #include "rt/server.hpp"
 #include "rt/sharded_store.hpp"
 #include "rt/tenant_registry.hpp"
@@ -89,6 +90,72 @@ TEST(RtEc, PutGetRoundtripVariousSizes) {
         << len;
     EXPECT_FALSE(reconstructed) << len;  // nothing lost: fast path
   }
+}
+
+// ec::put reuses the value's checksum for the manifest and hashes the
+// siblings in one batch; ec::get hashes the payload once and hands that
+// checksum to the returned blob. Every stored and returned checksum must
+// still be exactly FNV-1a over the bytes it describes, on the fast path
+// and on the reconstruct path, for sibling counts that exercise every
+// batch grouping (4+2, 4+1, 4+3, 4+4+3).
+TEST(RtEc, ChecksumsEqualFnvOfTheirBytesThroughPutAndGet) {
+  auto fnv = [](std::span<const std::uint8_t> b) {
+    return hash::fnv1a(
+        {reinterpret_cast<const char*>(b.data()), b.size()});
+  };
+  const std::pair<std::size_t, std::size_t> codes[] = {
+      {4, 2}, {3, 2}, {5, 2}, {8, 3}};
+  for (const auto& [k, m] : codes) {
+    const erasure::ReedSolomon rs(k, m);
+    for (const std::size_t len : {std::size_t{1}, std::size_t{4097},
+                                  std::size_t{65536}, std::size_t{100001}}) {
+      SCOPED_TRACE("RS(" + std::to_string(k) + "," + std::to_string(m) +
+                   ") len " + std::to_string(len));
+      ShardedStore store(store_opts());
+      const auto value = payload_blob(len, 31 + len);
+      ASSERT_TRUE(ec::put(store, "tok", "obj", value, rs).ok());
+
+      auto mres = store.get("tok", ec::manifest_key("obj"));
+      ASSERT_TRUE(mres.ok());
+      const auto mf = ec::parse_manifest(mres.value().bytes());
+      ASSERT_TRUE(mf.has_value());
+      EXPECT_EQ(mf->checksum, fnv(value.bytes()));
+      for (std::size_t i = 0; i < k + m; ++i) {
+        auto sib = store.get("tok", ec::shard_key("obj", i));
+        ASSERT_TRUE(sib.ok()) << i;
+        EXPECT_TRUE(sib.value().verify()) << i;
+        EXPECT_EQ(sib.value().checksum(), fnv(sib.value().bytes())) << i;
+      }
+
+      auto check_get = [&](bool expect_rebuild) {
+        bool rebuilt = !expect_rebuild;
+        auto got = ec::get(store, "tok", "obj", nullptr, &rebuilt);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(rebuilt, expect_rebuild);
+        EXPECT_TRUE(got.value().verify());
+        EXPECT_EQ(got.value().checksum(), fnv(got.value().bytes()));
+        EXPECT_EQ(got.value(), value);
+      };
+      check_get(false);
+      // Lose one data and one parity sibling: the reconstruct path.
+      ASSERT_TRUE(store.evict(ec::shard_key("obj", 0)).has_value());
+      ASSERT_TRUE(store.evict(ec::shard_key("obj", k)).has_value());
+      check_get(true);
+    }
+  }
+}
+
+// The manifest records the checksum the value arrived with. A value
+// whose bytes were damaged after it was hashed is therefore stored
+// under its original checksum, and get reports corruption rather than
+// serving the damaged bytes as good data.
+TEST(RtEc, ValueDamagedAfterHashingReadsAsCorruption) {
+  ShardedStore store(store_opts());
+  const erasure::ReedSolomon rs(4, 2);
+  auto value = payload_blob(5000, 41);
+  value.corrupt_for_test();
+  ASSERT_TRUE(ec::put(store, "tok", "obj", value, rs).ok());
+  EXPECT_EQ(ec::get(store, "tok", "obj").code(), Errc::corruption);
 }
 
 TEST(RtEc, StripeLayoutAndOverhead) {

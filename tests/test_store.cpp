@@ -18,6 +18,26 @@ TEST(Blob, MaterializedProperties) {
   EXPECT_NE(bytes_blob("hellp").checksum(), b.checksum());
 }
 
+TEST(Blob, MaterializedWithChecksumEqualsMaterialized) {
+  const std::string_view text = "a value hashed once upstream";
+  const auto hashed = bytes_blob(text);
+  const auto reused = Blob::materialized_with_checksum(
+      std::vector<std::uint8_t>(text.begin(), text.end()), hashed.checksum());
+  EXPECT_EQ(reused, hashed);
+  EXPECT_TRUE(reused.verify());
+  const auto empty = Blob::materialized_with_checksum(
+      {}, Blob::materialized({}).checksum());
+  EXPECT_EQ(empty, Blob::materialized({}));
+}
+
+TEST(Blob, TakeBytesMovesThePayloadOut) {
+  auto b = bytes_blob("payload");
+  const auto bytes = std::move(b).take_bytes();
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "payload");
+  EXPECT_EQ(b, Blob{});  // take_bytes leaves a default-constructed blob
+  EXPECT_FALSE(b.is_ghost());
+}
+
 TEST(Blob, GhostProperties) {
   auto g = Blob::ghost(1 << 20, 42);
   EXPECT_EQ(g.size(), 1u << 20);

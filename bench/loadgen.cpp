@@ -23,16 +23,18 @@
 //
 //   loadgen --qos [--tenants N] [--seed S] [--isolation-factor F]
 //
-// --net replays the same seed-deterministic streams over loopback TCP
-// against an rt::TcpServer (DESIGN.md §13) instead of calling into the
-// runtime in-process: N client threads x M pipelined connections each,
-// with request-id accounting. It runs --seeds S seeds (default 3),
-// prints one net CSV row per seed, and exits 1 if any response is lost
-// or duplicated, any transport error occurs, or throughput lands under
-// --min-ops-per-sec.
+// --net switches the same driver to its socket transport: the same
+// seed-deterministic streams replayed over loopback TCP against an
+// rt::TcpServer (DESIGN.md §13), N client threads x M pipelined
+// connections each, with request-id accounting. It runs --seeds S seeds
+// (default 3), one CSV row per seed.
 //
 //   loadgen --net [--threads N] [--connections M] [--reactors R]
 //           [--ops N] [--seeds S] [--min-ops-per-sec F] [...stream flags]
+//
+// Every in-process and socket run is held to the same gate: exit 1 if
+// any op goes unanswered, any response is duplicated, any transport
+// error occurs, or throughput lands under --min-ops-per-sec.
 //
 // --netchaos runs the network chaos soak (DESIGN.md §15): the same
 // streams through a netio::ChaosProxy injecting resets, blackholes,
@@ -45,8 +47,10 @@
 //
 //   loadgen --netchaos [--threads N] [--ops N] [--seeds S] [--seed S]
 //
-// CSV schema: see rt::loadgen_csv_header(), rt::net_loadgen_csv_header(),
+// CSV schema: see rt::loadgen_csv_header() (one schema for both
+// transports; connections_per_thread 0 marks an in-process row),
 // rt::net_chaos_csv_header() and EXPERIMENTS.md.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,7 +58,6 @@
 
 #include "rt/loadgen.hpp"
 #include "rt/net_chaos.hpp"
-#include "rt/net_loadgen.hpp"
 
 using namespace memfss;
 
@@ -74,39 +77,47 @@ void usage(const char* argv0) {
                argv0, argv0, argv0, argv0);
 }
 
-int run_net(rt::NetLoadgenOptions opt, std::size_t seeds,
-            double min_ops_per_sec) {
-  std::printf("%s\n", rt::net_loadgen_csv_header().c_str());
+/// The accounting gate every loadgen run is held to, in process or over
+/// the socket: every op answered exactly once, no transport error, and
+/// throughput at or above the floor.
+bool accounted(const rt::LoadgenResult& r, double min_ops_per_sec) {
+  bool ok = true;
+  const std::uint64_t total = static_cast<std::uint64_t>(
+      r.opt.client_threads) * r.opt.stream.ops_per_thread;
+  const auto seed = static_cast<unsigned long long>(r.opt.stream.seed);
+  if (r.lost != 0 || r.duplicated != 0 || r.transport_errors != 0 ||
+      r.responses != total) {
+    std::fprintf(stderr,
+                 "loadgen: FAIL seed %llu accounting: %llu/%llu answered, "
+                 "%llu lost, %llu duplicated, %llu transport errors\n",
+                 seed, static_cast<unsigned long long>(r.responses),
+                 static_cast<unsigned long long>(total),
+                 static_cast<unsigned long long>(r.lost),
+                 static_cast<unsigned long long>(r.duplicated),
+                 static_cast<unsigned long long>(r.transport_errors));
+    ok = false;
+  }
+  if (min_ops_per_sec > 0.0 && r.ops_per_sec < min_ops_per_sec) {
+    std::fprintf(stderr, "loadgen: FAIL seed %llu throughput %.0f < floor %.0f\n",
+                 seed, r.ops_per_sec, min_ops_per_sec);
+    ok = false;
+  }
+  return ok;
+}
+
+int run_seeds(const rt::LoadgenOptions& opt, std::size_t seeds,
+              double min_ops_per_sec) {
+  std::printf("%s\n", rt::loadgen_csv_header().c_str());
   bool ok = true;
   for (std::size_t s = 0; s < seeds; ++s) {
-    rt::NetLoadgenOptions o = opt;
-    o.base.seed = opt.base.seed + s;
-    const auto r = rt::run_net_loadgen(o);
-    std::printf("%s\n", rt::net_loadgen_csv_row(r).c_str());
+    rt::LoadgenOptions o = opt;
+    o.stream.seed = opt.stream.seed + s;
+    const auto r = rt::run_loadgen(o);
+    std::printf("%s\n", rt::loadgen_csv_row(r).c_str());
     std::fflush(stdout);
-    const std::uint64_t total = static_cast<std::uint64_t>(
-        o.base.client_threads) * o.base.ops_per_thread;
-    if (r.lost != 0 || r.duplicated != 0 || r.transport_errors != 0 ||
-        r.responses != total) {
-      std::fprintf(stderr,
-                   "net: FAIL seed %llu accounting: %llu/%llu answered, "
-                   "%llu lost, %llu duplicated, %llu transport errors\n",
-                   static_cast<unsigned long long>(o.base.seed),
-                   static_cast<unsigned long long>(r.responses),
-                   static_cast<unsigned long long>(total),
-                   static_cast<unsigned long long>(r.lost),
-                   static_cast<unsigned long long>(r.duplicated),
-                   static_cast<unsigned long long>(r.transport_errors));
-      ok = false;
-    }
-    if (min_ops_per_sec > 0.0 && r.ops_per_sec < min_ops_per_sec) {
-      std::fprintf(stderr, "net: FAIL seed %llu throughput %.0f < floor %.0f\n",
-                   static_cast<unsigned long long>(o.base.seed),
-                   r.ops_per_sec, min_ops_per_sec);
-      ok = false;
-    }
+    ok = accounted(r, min_ops_per_sec) && ok;
   }
-  if (ok)
+  if (ok && opt.connections_per_thread > 0)
     std::fprintf(stderr, "net: OK (%zu seeds, zero lost/duplicated)\n", seeds);
   return ok ? 0 : 1;
 }
@@ -205,7 +216,7 @@ int main(int argc, char** argv) {
   rt::LoadgenOptions opt;
   opt.service_time_us = 200;
   opt.value_size = 1024;
-  opt.get_fraction = 0.5;
+  opt.stream.get_fraction = 0.5;
   bool single = false;
   bool qos = false;
   bool net = false;
@@ -235,64 +246,59 @@ int main(int argc, char** argv) {
     else if (want("--threads")) { opt.client_threads = std::strtoul(argv[++i], nullptr, 10); opt.server_threads = opt.client_threads; single = true; }
     else if (want("--server-threads")) { opt.server_threads = std::strtoul(argv[++i], nullptr, 10); }
     else if (want("--shards")) { opt.shards = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--ops")) { opt.ops_per_thread = std::strtoul(argv[++i], nullptr, 10); }
+    else if (want("--ops")) { opt.stream.ops_per_thread = std::strtoul(argv[++i], nullptr, 10); }
     else if (want("--batch")) { opt.batch = std::strtoul(argv[++i], nullptr, 10); }
     else if (want("--value-size")) { opt.value_size = std::strtoull(argv[++i], nullptr, 10); }
-    else if (want("--get-ratio")) { opt.get_fraction = std::strtod(argv[++i], nullptr); }
-    else if (want("--del-ratio")) { opt.del_fraction = std::strtod(argv[++i], nullptr); }
-    else if (want("--skew")) { opt.zipf_theta = std::strtod(argv[++i], nullptr); }
-    else if (want("--keys")) { opt.key_space = std::strtoul(argv[++i], nullptr, 10); }
+    else if (want("--get-ratio")) { opt.stream.get_fraction = std::strtod(argv[++i], nullptr); }
+    else if (want("--del-ratio")) { opt.stream.del_fraction = std::strtod(argv[++i], nullptr); }
+    else if (want("--skew")) { opt.stream.zipf_theta = std::strtod(argv[++i], nullptr); }
+    else if (want("--keys")) { opt.stream.key_space = std::strtoul(argv[++i], nullptr, 10); }
     else if (want("--service-us")) { opt.service_time_us = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10)); }
-    else if (want("--seed")) { opt.seed = std::strtoull(argv[++i], nullptr, 10); }
+    else if (want("--seed")) { opt.stream.seed = std::strtoull(argv[++i], nullptr, 10); }
     else { usage(argv[0]); return 2; }
   }
 
-  if (qos) return run_qos(qos_tenants, opt.seed, isolation_factor);
+  if (qos) return run_qos(qos_tenants, opt.stream.seed, isolation_factor);
   if (netchaos) {
     rt::NetChaosOptions copt;
-    copt.seed = opt.seed;
+    copt.seed = opt.stream.seed;
     if (single) {
       copt.client_threads = opt.client_threads;
       copt.server_threads = opt.server_threads;
     }
-    if (opt.ops_per_thread != rt::LoadgenOptions{}.ops_per_thread)
-      copt.ops_per_thread = opt.ops_per_thread;
+    if (opt.stream.ops_per_thread != rt::StreamOptions{}.ops_per_thread)
+      copt.ops_per_thread = opt.stream.ops_per_thread;
     copt.reactors = net_reactors;
     return run_netchaos(copt, net_seeds);
   }
   if (net) {
-    rt::NetLoadgenOptions nopt;
-    nopt.base = opt;
-    nopt.connections_per_thread = net_connections;
-    nopt.reactors = net_reactors;
-    return run_net(nopt, net_seeds, min_ops_per_sec);
+    opt.connections_per_thread = std::max<std::size_t>(1, net_connections);
+    opt.reactors = net_reactors;
+    return run_seeds(opt, net_seeds, min_ops_per_sec);
   }
+  if (single) return run_seeds(opt, 1, min_ops_per_sec);
 
   std::printf("%s\n", rt::loadgen_csv_header().c_str());
-
-  if (single) {
-    const auto r = rt::run_loadgen(opt);
-    std::printf("%s\n", rt::loadgen_csv_row(r).c_str());
-    return 0;
-  }
 
   // Sweep: fixed total work (16k ops) redistributed over the thread
   // counts so every point does the same job.
   const std::size_t total_ops = 16384;
   double ops_1 = 0.0, ops_8 = 0.0;
+  bool ok = true;
   for (const std::size_t n : {1u, 2u, 4u, 8u}) {
     rt::LoadgenOptions o = opt;
     o.client_threads = n;
     o.server_threads = n;
-    o.ops_per_thread = total_ops / n;
+    o.stream.ops_per_thread = total_ops / n;
     const auto r = rt::run_loadgen(o);
     std::printf("%s\n", rt::loadgen_csv_row(r).c_str());
     std::fflush(stdout);
+    ok = accounted(r, min_ops_per_sec) && ok;
     if (n == 1) ops_1 = r.ops_per_sec;
     if (n == 8) ops_8 = r.ops_per_sec;
   }
   const double speedup = ops_1 > 0.0 ? ops_8 / ops_1 : 0.0;
   std::fprintf(stderr, "loadgen: 8-thread vs 1-thread throughput: %.2fx\n",
                speedup);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -2,32 +2,185 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <thread>
+#include <unordered_map>
 
-#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "hash/hashes.hpp"
+#include "netio/client.hpp"
+#include "rt/tcp_server.hpp"
 #include "rt/tenant_registry.hpp"
 
 namespace memfss::rt {
 
-StreamOptions stream_options(const LoadgenOptions& opt) {
-  StreamOptions s;
-  s.seed = opt.seed;
-  s.ops_per_thread = opt.ops_per_thread;
-  s.get_fraction = opt.get_fraction;
-  s.del_fraction = opt.del_fraction;
-  s.zipf_theta = opt.zipf_theta;
-  s.key_space = opt.key_space;
-  return s;
+namespace {
+
+/// Request ids used for the one-time AUTH on each connection live far
+/// above the per-op id space (op ids are stream offsets < 2^32).
+constexpr std::uint64_t kAuthIdBase = 0xA001000000000000ull;
+
+struct ThreadTally {
+  std::uint64_t puts = 0, gets = 0, dels = 0, not_found = 0, rejected = 0,
+                overloaded = 0, retry_after_hints = 0, errors = 0,
+                responses = 0, lost = 0, duplicated = 0, transport_errors = 0;
+  std::uint64_t digest = hash::fnv1a_seed();
+};
+
+/// One op's outcome as a batch step reports it, staged until the whole
+/// batch is in so the digest folds in submission order regardless of
+/// response interleaving.
+struct SlotResult {
+  bool answered = false;
+  Errc code = Errc::ok;
+  std::uint64_t checksum = 0;
+  bool has_hint = false;  ///< overloaded with a retry-after hint
+};
+
+/// Replays one thread's stream in closed-loop batches. `step(first,
+/// slots)` runs stream ops [first, first + slots.size()) and fills one
+/// slot per op; it returns false once its transport is dead, and the
+/// rest of the stream then counts as lost.
+template <class Step>
+void replay(const std::vector<GenOp>& stream, std::size_t batch, Step& step,
+            ThreadTally& tally) {
+  std::vector<SlotResult> slots;
+  std::size_t i = 0;
+  while (i < stream.size()) {
+    const std::size_t n = std::min(batch, stream.size() - i);
+    slots.assign(n, SlotResult{});
+    const bool alive = step(i, slots);
+    for (std::size_t j = 0; j < n; ++j) {
+      const GenOp& g = stream[i + j];
+      const SlotResult& s = slots[j];
+      if (!s.answered) {
+        ++tally.lost;
+        continue;
+      }
+      ++tally.responses;
+      tally.digest = fold_result(tally.digest, g, s.code, s.checksum);
+      switch (s.code) {
+        case Errc::ok:
+          if (g.type == Op::Type::put) ++tally.puts;
+          if (g.type == Op::Type::del) ++tally.dels;
+          if (g.type == Op::Type::get) ++tally.gets;
+          break;
+        case Errc::not_found: ++tally.not_found; break;
+        case Errc::rejected: ++tally.rejected; break;
+        case Errc::overloaded:
+          ++tally.overloaded;
+          if (s.has_hint) ++tally.retry_after_hints;
+          break;
+        default: ++tally.errors; break;
+      }
+    }
+    i += n;
+    if (!alive) {
+      tally.lost += stream.size() - i;
+      return;
+    }
+  }
 }
 
-std::vector<GenOp> generate_ops(const LoadgenOptions& opt,
-                                std::size_t thread_index) {
-  return generate_stream(stream_options(opt), thread_index);
-}
+/// The socket batch step: authenticates `connections_per_thread`
+/// connections once, then per batch encodes the ops round-robin across
+/// them, writes each connection's share in one send (pipelining) and
+/// collects every response by request id. An id may be answered
+/// exactly once: a repeat or unknown id is `duplicated`, a missing one
+/// leaves its slot unanswered (`lost`).
+class SocketStep {
+ public:
+  SocketStep(std::uint16_t port, const LoadgenOptions& opt,
+             const std::vector<GenOp>& stream, ThreadTally& tally)
+      : opt_(opt), stream_(stream), tally_(tally),
+        conns_(opt.connections_per_thread),
+        wire_(opt.connections_per_thread),
+        open_(opt.connections_per_thread) {
+    for (std::size_t c = 0; c < conns_.size() && alive_; ++c) {
+      auto& conn = conns_[c];
+      alive_ = conn.connect(port).ok() && conn.set_recv_timeout(30.0).ok() &&
+               conn.send(netio::NetClient::make_auth(kAuthIdBase + c,
+                                                     opt.auth_token)).ok();
+      if (alive_) {
+        auto auth = conn.recv();
+        alive_ = auth.ok() && auth.value().status == 0;
+      }
+    }
+    if (!alive_) ++tally_.transport_errors;
+  }
+
+  bool operator()(std::size_t first, std::span<SlotResult> slots) {
+    if (!alive_) return false;
+    const std::size_t conns = conns_.size();
+    for (auto& w : wire_) w.clear();
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      const GenOp& g = stream_[first + j];
+      const std::size_t c = j % conns;
+      const std::uint64_t rid = static_cast<std::uint64_t>(first + j);
+      netio::Frame f;
+      switch (g.type) {
+        case Op::Type::put: {
+          auto blob = stream_value(opt_.value_size, g.key_index, first + j);
+          const auto span = blob.bytes();
+          f = netio::NetClient::make_put(
+              rid, 0, loadgen_key(g.key_index),
+              std::vector<std::uint8_t>(span.begin(), span.end()));
+          break;
+        }
+        case Op::Type::del:
+          f = netio::NetClient::make_del(rid, 0, loadgen_key(g.key_index));
+          break;
+        default:
+          f = netio::NetClient::make_get(rid, 0, loadgen_key(g.key_index));
+          break;
+      }
+      netio::encode_frame(f, wire_[c]);
+      open_[c].emplace(rid, j);
+    }
+    for (std::size_t c = 0; c < conns && alive_; ++c) {
+      if (wire_[c].empty()) continue;
+      if (!conns_[c].send_raw(wire_[c]).ok()) fail();
+    }
+    for (std::size_t c = 0; c < conns && alive_; ++c) {
+      while (!open_[c].empty()) {
+        auto got = conns_[c].recv();
+        if (!got.ok()) {
+          fail();
+          break;
+        }
+        const netio::Frame& rf = got.value();
+        auto it = open_[c].find(rf.request_id);
+        if (it == open_[c].end()) {
+          ++tally_.duplicated;
+          continue;
+        }
+        slots[it->second] = {true, static_cast<Errc>(rf.status), rf.checksum,
+                             rf.retry_after_us > 0};
+        open_[c].erase(it);
+      }
+    }
+    return alive_;
+  }
+
+ private:
+  void fail() {
+    ++tally_.transport_errors;
+    alive_ = false;
+  }
+
+  const LoadgenOptions& opt_;
+  const std::vector<GenOp>& stream_;
+  ThreadTally& tally_;
+  std::vector<netio::NetClient> conns_;
+  std::vector<std::vector<std::uint8_t>> wire_;
+  /// Per connection: request id -> slot index in the current batch.
+  std::vector<std::unordered_map<std::uint64_t, std::size_t>> open_;
+  bool alive_ = true;
+};
+
+}  // namespace
 
 LoadgenResult run_loadgen(const LoadgenOptions& opt) {
   LoadgenResult res;
@@ -37,61 +190,49 @@ LoadgenResult run_loadgen(const LoadgenOptions& opt) {
   RuntimeServer server(
       store, {opt.server_threads, opt.queue_capacity,
               std::chrono::microseconds(opt.service_time_us)});
+  std::optional<TcpServer> tcp;
+  if (opt.connections_per_thread > 0) {
+    TcpServer::Options topt;
+    topt.reactors = std::max<std::size_t>(1, opt.reactors);
+    tcp.emplace(server, topt);
+  }
 
   // Streams are generated before any thread starts so the generator's
   // cost never pollutes the measured window.
   std::vector<std::vector<GenOp>> streams;
   streams.reserve(opt.client_threads);
   for (std::size_t t = 0; t < opt.client_threads; ++t)
-    streams.push_back(generate_ops(opt, t));
+    streams.push_back(generate_stream(opt.stream, t));
 
-  struct ThreadTally {
-    std::uint64_t puts = 0, gets = 0, dels = 0, not_found = 0, rejected = 0,
-                  overloaded = 0, retry_after_hints = 0, errors = 0;
-    std::uint64_t digest = hash::fnv1a_seed();
-  };
   std::vector<ThreadTally> tallies(opt.client_threads);
 
   auto client = [&](std::size_t t) {
-    auto& tally = tallies[t];
     const auto& stream = streams[t];
-    std::size_t i = 0;
-    while (i < stream.size()) {
-      const std::size_t n = std::min(opt.batch, stream.size() - i);
+    if (tcp) {
+      SocketStep step(tcp->port(), opt, stream, tallies[t]);
+      replay(stream, opt.batch, step, tallies[t]);
+      return;
+    }
+    auto step = [&](std::size_t first, std::span<SlotResult> slots) {
       std::vector<Op> batch;
-      batch.reserve(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        const GenOp& g = stream[i + j];
+      batch.reserve(slots.size());
+      for (std::size_t j = 0; j < slots.size(); ++j) {
+        const GenOp& g = stream[first + j];
         Op op;
         op.type = g.type;
         op.key = loadgen_key(g.key_index);
         if (g.type == Op::Type::put)
-          op.value = stream_value(opt.value_size, g.key_index, i + j);
+          op.value = stream_value(opt.value_size, g.key_index, first + j);
         batch.push_back(std::move(op));
       }
       const auto results = server.run_batch(opt.auth_token, std::move(batch));
-      for (std::size_t j = 0; j < n; ++j) {
-        const GenOp& g = stream[i + j];
+      for (std::size_t j = 0; j < slots.size(); ++j) {
         const OpResult& r = results[j];
-        tally.digest = fold_result(tally.digest, g, r.code,
-                                   r.value.checksum());
-        switch (r.code) {
-          case Errc::ok:
-            if (g.type == Op::Type::put) ++tally.puts;
-            if (g.type == Op::Type::del) ++tally.dels;
-            if (g.type == Op::Type::get) ++tally.gets;
-            break;
-          case Errc::not_found: ++tally.not_found; break;
-          case Errc::rejected: ++tally.rejected; break;
-          case Errc::overloaded:
-            ++tally.overloaded;
-            if (r.retry_after_s > 0.0) ++tally.retry_after_hints;
-            break;
-          default: ++tally.errors; break;
-        }
+        slots[j] = {true, r.code, r.value.checksum(), r.retry_after_s > 0.0};
       }
-      i += n;
-    }
+      return true;
+    };
+    replay(stream, opt.batch, step, tallies[t]);
   };
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -102,8 +243,10 @@ LoadgenResult run_loadgen(const LoadgenOptions& opt) {
   for (auto& th : threads) th.join();
   res.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0).count();
+  if (tcp) tcp->shutdown();
 
-  std::uint64_t digest = hash::fnv1a_seed();
+  std::vector<std::uint64_t> digests;
+  digests.reserve(tallies.size());
   for (const auto& tally : tallies) {
     res.puts += tally.puts;
     res.gets += tally.gets;
@@ -113,26 +256,32 @@ LoadgenResult run_loadgen(const LoadgenOptions& opt) {
     res.overloaded += tally.overloaded;
     res.retry_after_hints += tally.retry_after_hints;
     res.errors += tally.errors;
-    digest = hash::fnv1a_decimal(digest, tally.digest);
+    res.responses += tally.responses;
+    res.lost += tally.lost;
+    res.duplicated += tally.duplicated;
+    res.transport_errors += tally.transport_errors;
+    digests.push_back(tally.digest);
   }
-  res.result_digest = digest;
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(opt.client_threads) * opt.ops_per_thread;
-  const std::uint64_t completed = total - res.rejected - res.overloaded;
+  res.result_digest = combine_digests(digests);
+  const std::uint64_t completed =
+      res.puts + res.gets + res.dels + res.not_found + res.errors;
   res.ops_per_sec =
       res.wall_s > 0.0 ? static_cast<double>(completed) / res.wall_s : 0.0;
   res.latency = server.metrics().histogram_summary("rt.op.latency_s");
+  res.bytes_in = server.metrics().counter_value("rt.net.bytes_in");
+  res.bytes_out = server.metrics().counter_value("rt.net.bytes_out");
   return res;
 }
 
 std::string loadgen_csv_header() {
-  return csv_row({"client_threads", "server_threads", "shards",
-                  "ops_per_thread", "batch", "value_size", "get_fraction",
-                  "del_fraction", "zipf_theta", "service_time_us", "seed",
-                  "wall_s", "ops_per_sec", "puts", "gets", "dels",
-                  "not_found", "rejected", "overloaded",
-                  "retry_after_hints", "errors", "lat_p50_s", "lat_p95_s",
-                  "lat_p99_s", "result_digest"});
+  return csv_row({"client_threads", "connections_per_thread", "reactors",
+                  "server_threads", "shards", "ops_per_thread", "batch",
+                  "value_size", "get_fraction", "del_fraction", "zipf_theta",
+                  "service_time_us", "seed", "wall_s", "ops_per_sec", "puts",
+                  "gets", "dels", "not_found", "rejected", "overloaded",
+                  "retry_after_hints", "errors", "responses", "lost",
+                  "duplicated", "transport_errors", "bytes_in", "bytes_out",
+                  "lat_p50_s", "lat_p95_s", "lat_p99_s", "result_digest"});
 }
 
 std::string loadgen_csv_row(const LoadgenResult& r) {
@@ -142,19 +291,25 @@ std::string loadgen_csv_row(const LoadgenResult& r) {
     return std::string(buf);
   };
   const auto& o = r.opt;
+  const auto& s = o.stream;
   return csv_row({std::to_string(o.client_threads),
+                  std::to_string(o.connections_per_thread),
+                  std::to_string(o.reactors),
                   std::to_string(o.server_threads), std::to_string(o.shards),
-                  std::to_string(o.ops_per_thread), std::to_string(o.batch),
-                  std::to_string(o.value_size), num(o.get_fraction),
-                  num(o.del_fraction), num(o.zipf_theta),
-                  std::to_string(o.service_time_us), std::to_string(o.seed),
+                  std::to_string(s.ops_per_thread), std::to_string(o.batch),
+                  std::to_string(o.value_size), num(s.get_fraction),
+                  num(s.del_fraction), num(s.zipf_theta),
+                  std::to_string(o.service_time_us), std::to_string(s.seed),
                   num(r.wall_s), num(r.ops_per_sec), std::to_string(r.puts),
                   std::to_string(r.gets), std::to_string(r.dels),
                   std::to_string(r.not_found), std::to_string(r.rejected),
                   std::to_string(r.overloaded),
                   std::to_string(r.retry_after_hints),
-                  std::to_string(r.errors), num(r.latency.p50),
-                  num(r.latency.p95), num(r.latency.p99),
+                  std::to_string(r.errors), std::to_string(r.responses),
+                  std::to_string(r.lost), std::to_string(r.duplicated),
+                  std::to_string(r.transport_errors),
+                  std::to_string(r.bytes_in), std::to_string(r.bytes_out),
+                  num(r.latency.p50), num(r.latency.p95), num(r.latency.p99),
                   std::to_string(r.result_digest)});
 }
 
@@ -204,14 +359,14 @@ QosRunResult run_qos_scenario(const QosOptions& opt) {
   // generator with a tenant-mixed seed: deterministic across runs, so
   // baseline and adversarial runs offer identical small-tenant work.
   auto gen_stream = [&](std::size_t tenant_idx, std::size_t thread_idx) {
-    LoadgenOptions lo;
-    lo.seed = opt.seed ^ (0xa24baed4963ee407ull *
+    StreamOptions so;
+    so.seed = opt.seed ^ (0xa24baed4963ee407ull *
                           (static_cast<std::uint64_t>(tenant_idx) + 1));
-    lo.ops_per_thread = opt.tenants[tenant_idx].ops_per_thread;
-    lo.get_fraction = opt.get_fraction;
-    lo.del_fraction = opt.del_fraction;
-    lo.key_space = opt.key_space;
-    return generate_ops(lo, thread_idx);
+    so.ops_per_thread = opt.tenants[tenant_idx].ops_per_thread;
+    so.get_fraction = opt.get_fraction;
+    so.del_fraction = opt.del_fraction;
+    so.key_space = opt.key_space;
+    return generate_stream(so, thread_idx);
   };
 
   // Abusive tenants cycle their stream until every normal tenant is

@@ -5,11 +5,25 @@
 // get:put:del mix and value size are configurable, and results come
 // back as one CSV row compatible with the other benches.
 //
-// Op streams are generated up front by a pure function of
-// (options, thread index) -- generate_ops() -- so a fixed seed replays
-// the identical stream every run; with one client thread and one worker
-// thread the *execution* order is the generation order too, which is
-// what the deterministic-replay smoke test pins down via result_digest.
+// One driver, two transports, chosen by `connections_per_thread`:
+//
+//   0   in process: each batch is one RuntimeServer::run_batch call;
+//   >=1 over loopback TCP: a TcpServer in front of the same runtime,
+//       with that many pipelined NetClient connections per client
+//       thread and per-request-id accounting, so a lost or duplicated
+//       response is a hard failure, not noise (DESIGN.md §13).
+//
+// Everything but the batch step -- server setup, stream generation,
+// the per-thread tally, the result-code switch, the digest and the CSV
+// row -- is shared, so the two transports differ in nothing else.
+//
+// Op streams are generated up front by rt::generate_stream, a pure
+// function of (opt.stream, thread index), so a fixed seed replays the
+// identical stream every run. With one client thread, one worker thread
+// and (over the socket) one connection, the *execution* order is the
+// generation order too: `result_digest` then repeats run to run and is
+// equal across the two transports, which tests/test_rt_loadgen.cpp and
+// tests/test_rt_tcp.cpp pin down.
 #pragma once
 
 #include <cstdint>
@@ -24,32 +38,21 @@
 namespace memfss::rt {
 
 struct LoadgenOptions {
+  StreamOptions stream;             ///< seed, length, mix, skew, keys
   std::size_t client_threads = 1;   ///< closed-loop submitters
   std::size_t server_threads = 1;   ///< RuntimeServer workers
   std::size_t shards = 16;
-  std::size_t ops_per_thread = 20000;
   std::size_t batch = 16;           ///< ops in flight per client
   Bytes value_size = 1024;          ///< materialized payload bytes
-  double get_fraction = 0.5;        ///< P(get); rest split put/del
-  double del_fraction = 0.0;        ///< P(del)
-  double zipf_theta = 0.0;          ///< key skew (0 = uniform)
-  std::size_t key_space = 16384;    ///< distinct keys, shared by threads
   Bytes capacity = 256 * units::MiB;
   std::size_t queue_capacity = 4096;
-  std::uint64_t seed = 1;
   std::uint32_t service_time_us = 0;  ///< simulated remote-access latency
   std::string auth_token = "rt";
+  /// 0 = in-process run_batch; >= 1 = a TcpServer and this many
+  /// pipelined connections per client thread.
+  std::size_t connections_per_thread = 0;
+  std::size_t reactors = 1;         ///< TcpServer epoll threads (socket only)
 };
-
-/// The stream-shaping subset of `opt` (see rt/opstream.hpp -- the
-/// generator itself is shared with the socket replay path).
-StreamOptions stream_options(const LoadgenOptions& opt);
-
-/// The deterministic op stream for one client thread: a pure function
-/// of (opt.seed, opt mix parameters, thread_index). Thin wrapper over
-/// rt::generate_stream.
-std::vector<GenOp> generate_ops(const LoadgenOptions& opt,
-                                std::size_t thread_index);
 
 struct LoadgenResult {
   LoadgenOptions opt;
@@ -61,16 +64,25 @@ struct LoadgenResult {
   std::uint64_t overloaded = 0;  ///< QoS sheds (rate limit / pressure)
   std::uint64_t retry_after_hints = 0;  ///< overloaded results with a hint
   std::uint64_t errors = 0;    ///< anything else (oom, auth, ...)
+  std::uint64_t responses = 0;   ///< ops answered (matched by request id)
+  std::uint64_t lost = 0;        ///< ops never answered (socket only)
+  std::uint64_t duplicated = 0;  ///< responses with an unknown/reused id
+  std::uint64_t transport_errors = 0;  ///< client send/recv failures
+  std::uint64_t bytes_in = 0;    ///< server-side rt.net.bytes_in
+  std::uint64_t bytes_out = 0;   ///< server-side rt.net.bytes_out
   double wall_s = 0.0;
-  double ops_per_sec = 0.0;    ///< completed (non-shed) ops / wall
+  /// Completed ops (puts + gets + dels + not_found + errors) / wall:
+  /// queue-full rejections and QoS sheds never ran, so they do not
+  /// count as throughput on either transport.
+  double ops_per_sec = 0.0;
   /// Per-op submit-to-completion latency over *completed* ops only --
   /// rejected and overloaded ops never reach a worker, so admitting
   /// them into the histogram would fake sub-microsecond "latencies".
   obs::HistogramSummary latency;
-  /// FNV-1a over every (thread, op type, key index, result code, get
+  /// FNV-1a over every answered (op type, key index, result code, get
   /// checksum) in submission order, folded per thread then combined in
-  /// thread order. Identical streams + identical execution order =>
-  /// identical digest.
+  /// thread order (rt::fold_result, rt::combine_digests). Identical
+  /// streams + identical execution order => identical digest.
   std::uint64_t result_digest = 0;
 };
 

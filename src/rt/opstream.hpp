@@ -1,12 +1,12 @@
 // Seed-deterministic op streams, factored out of the loadgen so every
-// harness that replays a workload -- the in-process closed loop
-// (rt::run_loadgen), the socket client (rt::run_net_loadgen), and the
-// sharded-store stress test -- generates the *identical* stream from
-// the same (seed, thread) pair. The result-digest folding lives here
-// too, so the in-process and over-the-wire replays of one stream can
-// be compared digest-for-digest: with one client thread, one worker,
-// and one connection, both paths must produce the same
-// `result_digest`.
+// harness that replays a workload -- the closed-loop driver
+// (rt::run_loadgen, in process or over sockets), the network chaos
+// soak, the sharded-store stress test and perfbench -- generates the
+// *identical* stream from the same (seed, thread) pair. The
+// result-digest folding lives here too, so the in-process and
+// over-the-wire replays of one stream can be compared digest-for-digest:
+// with one client thread, one worker, and one connection, both
+// transports must produce the same `result_digest`.
 //
 // Everything here is a pure function of its arguments: no clocks, no
 // globals, no platform-dependent iteration order.
@@ -30,7 +30,7 @@ struct GenOp {
   std::uint32_t key_index = 0;
 };
 
-/// The knobs that shape a stream -- a strict subset of LoadgenOptions,
+/// The knobs that shape a stream (LoadgenOptions::stream), kept apart
 /// so the generator can be shared without dragging in server sizing.
 struct StreamOptions {
   std::uint64_t seed = 1;

@@ -13,22 +13,22 @@ LoadgenOptions small_opts() {
   opt.client_threads = 1;
   opt.server_threads = 1;
   opt.shards = 4;
-  opt.ops_per_thread = 3000;
+  opt.stream.ops_per_thread = 3000;
   opt.batch = 8;
   opt.value_size = 64;
-  opt.get_fraction = 0.5;
-  opt.del_fraction = 0.1;
-  opt.key_space = 100;
+  opt.stream.get_fraction = 0.5;
+  opt.stream.del_fraction = 0.1;
+  opt.stream.key_space = 100;
   opt.capacity = 8 * units::MiB;
-  opt.seed = 7;
+  opt.stream.seed = 7;
   opt.service_time_us = 0;
   return opt;
 }
 
 TEST(RtLoadgen, GeneratedStreamsAreDeterministic) {
   const auto opt = small_opts();
-  const auto a = generate_ops(opt, 0);
-  const auto b = generate_ops(opt, 0);
+  const auto a = generate_stream(opt.stream, 0);
+  const auto b = generate_stream(opt.stream, 0);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].type, b[i].type) << i;
@@ -38,10 +38,10 @@ TEST(RtLoadgen, GeneratedStreamsAreDeterministic) {
 
 TEST(RtLoadgen, StreamsDifferByThreadAndSeed) {
   auto opt = small_opts();
-  const auto base = generate_ops(opt, 0);
-  const auto other_thread = generate_ops(opt, 1);
-  opt.seed = 8;
-  const auto other_seed = generate_ops(opt, 0);
+  const auto base = generate_stream(opt.stream, 0);
+  const auto other_thread = generate_stream(opt.stream, 1);
+  opt.stream.seed = 8;
+  const auto other_seed = generate_stream(opt.stream, 0);
   auto differs = [&](const std::vector<GenOp>& v) {
     for (std::size_t i = 0; i < base.size(); ++i)
       if (base[i].type != v[i].type || base[i].key_index != v[i].key_index)
@@ -54,18 +54,18 @@ TEST(RtLoadgen, StreamsDifferByThreadAndSeed) {
 
 TEST(RtLoadgen, ZipfThetaSkewsKeyPopularity) {
   auto opt = small_opts();
-  opt.key_space = 1000;
-  opt.ops_per_thread = 20000;
-  opt.zipf_theta = 0.99;
+  opt.stream.key_space = 1000;
+  opt.stream.ops_per_thread = 20000;
+  opt.stream.zipf_theta = 0.99;
   std::map<std::uint32_t, std::size_t> freq;
-  for (const auto& g : generate_ops(opt, 0)) ++freq[g.key_index];
+  for (const auto& g : generate_stream(opt.stream, 0)) ++freq[g.key_index];
   const double uniform_share =
-      static_cast<double>(opt.ops_per_thread) / opt.key_space;
+      static_cast<double>(opt.stream.ops_per_thread) / opt.stream.key_space;
   // Rank-0 key should be far above a uniform draw's 20 hits.
   EXPECT_GT(freq[0], 5 * uniform_share);
-  opt.zipf_theta = 0.0;
+  opt.stream.zipf_theta = 0.0;
   std::map<std::uint32_t, std::size_t> uf;
-  for (const auto& g : generate_ops(opt, 0)) ++uf[g.key_index];
+  for (const auto& g : generate_stream(opt.stream, 0)) ++uf[g.key_index];
   EXPECT_LT(uf[0], 5 * uniform_share);
 }
 
@@ -86,7 +86,7 @@ TEST(RtLoadgen, SingleThreadedReplayIsIdentical) {
   EXPECT_EQ(a.errors, 0u);
   // A different seed must not replay to the same digest.
   auto opt2 = opt;
-  opt2.seed = 8;
+  opt2.stream.seed = 8;
   EXPECT_NE(run_loadgen(opt2).result_digest, a.result_digest);
 }
 
@@ -94,28 +94,62 @@ TEST(RtLoadgen, MultithreadedRunAccountsEveryOp) {
   auto opt = small_opts();
   opt.client_threads = 4;
   opt.server_threads = 4;
-  opt.ops_per_thread = 2000;
+  opt.stream.ops_per_thread = 2000;
   const auto r = run_loadgen(opt);
   EXPECT_EQ(r.puts + r.gets + r.dels + r.not_found + r.rejected +
                 r.overloaded + r.errors,
-            opt.client_threads * opt.ops_per_thread);
+            opt.client_threads * opt.stream.ops_per_thread);
   EXPECT_EQ(r.errors, 0u);
   EXPECT_GT(r.ops_per_sec, 0.0);
   // Shed ops (rejected or overloaded) never enter the latency
   // histogram -- they would fake sub-microsecond samples.
   EXPECT_EQ(r.latency.count,
-            opt.client_threads * opt.ops_per_thread - r.rejected -
+            opt.client_threads * opt.stream.ops_per_thread - r.rejected -
                 r.overloaded);
+  // In process every op is answered and nothing crosses a socket.
+  EXPECT_EQ(r.responses, opt.client_threads * opt.stream.ops_per_thread);
+  EXPECT_EQ(r.lost + r.duplicated + r.transport_errors, 0u);
+  EXPECT_EQ(r.bytes_in + r.bytes_out, 0u);
 }
 
+// ops_per_sec counts completed ops only, on both transports: queue-full
+// rejections never ran, so a run that sheds must not report them as
+// throughput. One worker with a one-slot queue, a 64-op batch and a
+// 200us service time guarantees rejections.
+TEST(RtLoadgen, OpsPerSecExcludesShedOpsOnBothTransports) {
+  for (const std::size_t conns : {0u, 1u}) {
+    auto opt = small_opts();
+    opt.stream.ops_per_thread = 640;
+    opt.queue_capacity = 1;
+    opt.batch = 64;
+    opt.service_time_us = 200;
+    opt.server_threads = 1;
+    opt.connections_per_thread = conns;
+    const auto r = run_loadgen(opt);
+    SCOPED_TRACE(conns == 0 ? "in-process" : "socket");
+    EXPECT_GT(r.rejected, 0u);
+    EXPECT_EQ(r.lost, 0u);
+    const double completed = static_cast<double>(
+        r.puts + r.gets + r.dels + r.not_found + r.errors);
+    ASSERT_GT(completed, 0.0);
+    EXPECT_NEAR(r.ops_per_sec * r.wall_s, completed, 1e-6 * completed);
+  }
+}
+
+// One CSV schema for both transports.
 TEST(RtLoadgen, CsvRowMatchesHeaderSchema) {
-  const auto r = run_loadgen(small_opts());
   auto fields = [](const std::string& line) {
     std::size_t n = 1;
     for (const char c : line) n += c == ',';
     return n;
   };
-  EXPECT_EQ(fields(loadgen_csv_header()), fields(loadgen_csv_row(r)));
+  for (const std::size_t conns : {0u, 2u}) {
+    auto opt = small_opts();
+    opt.connections_per_thread = conns;
+    const auto r = run_loadgen(opt);
+    EXPECT_EQ(fields(loadgen_csv_header()), fields(loadgen_csv_row(r)))
+        << "connections_per_thread " << conns;
+  }
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 // The cap is sized so out_of_memory rejections fire constantly
 // (exercising the reserve/release path), and a chaos thread clears and
 // closes shards mid-run so the eviction/unavailable paths race the
-// writers too.
+// writers too. The clears are paced by mutator progress, not by the
+// chaos thread's own loop, so the cap binds between clears at any
+// relative thread speed (a ThreadSanitizer build slows the mutators far
+// more than the near-empty chaos loop).
 // Op streams come from the shared seed-deterministic generator
 // (rt/opstream.hpp) -- the same one the in-process loadgen and the
 // socket replay client use -- so the put/get/del mix here is the same
@@ -41,6 +44,9 @@ constexpr Bytes kMaxValue = 512;
 // Roughly a third of the worst-case live set: ooms are routine.
 constexpr Bytes kCap =
     kKeySpace * (kMaxValue + kvstore::Store::kPerKeyOverhead) / 3;
+// Mutator ops (summed over threads) between two chaos clears: enough
+// puts to refill one cleared shard's eighth of the live set many times.
+constexpr std::uint64_t kOpsPerClear = 1024;
 
 /// Stream shape shared with the loadgen/socket harnesses: the put/get/
 /// del mix and key popularity are a pure function of (seed, thread).
@@ -58,6 +64,7 @@ TEST(RtStress, AccountingInvariantsUnderRacingMutators) {
   ShardedStore store({kShards, kCap, ""});
   std::atomic<std::uint64_t> cap_violations{0};
   std::atomic<std::uint64_t> ooms{0};
+  std::atomic<std::uint64_t> progress{0};  ///< mutator ops done
 
   auto sample = [&] {
     // Relaxed sample mid-race: an underflow wraps Bytes to ~2^64 and an
@@ -85,22 +92,24 @@ TEST(RtStress, AccountingInvariantsUnderRacingMutators) {
       }
       if (rng.chance(0.10)) (void)store.evict(key);
       sample();
+      progress.fetch_add(1, std::memory_order_relaxed);
     }
   };
 
   std::atomic<bool> done{false};
   auto chaos = [&] {
     Rng rng(99);
-    std::size_t round = 0;
+    std::size_t clears = 0;
+    std::uint64_t next_clear = kOpsPerClear;
     while (!done.load()) {
-      const auto victim = rng.uniform_u64(0, kShards - 1);
-      if (round % 3 == 0) (void)store.clear_shard(victim);
       sample();
       std::this_thread::yield();
-      ++round;
+      if (progress.load(std::memory_order_relaxed) < next_clear) continue;
+      next_clear += kOpsPerClear;
+      (void)store.clear_shard(rng.uniform_u64(0, kShards - 1));
       // One shard goes down for good mid-run; ops on it must fail
       // unavailable without disturbing anyone's accounting.
-      if (round == 50) store.close_shard(rng.uniform_u64(0, kShards - 1));
+      if (++clears == 50) store.close_shard(rng.uniform_u64(0, kShards - 1));
     }
   };
 
@@ -113,6 +122,7 @@ TEST(RtStress, AccountingInvariantsUnderRacingMutators) {
 
   EXPECT_EQ(cap_violations.load(), 0u);
   EXPECT_GT(ooms.load(), 0u) << "cap never bound; stress has no teeth";
+  RecordProperty("ooms", std::to_string(ooms.load()));
 
   // Quiesced: the atomic aggregate, the per-shard tallies, and a
   // recomputation from surviving keys must all agree.

@@ -24,7 +24,7 @@
 
 #include "netio/client.hpp"
 #include "netio/frame.hpp"
-#include "rt/net_loadgen.hpp"
+#include "rt/loadgen.hpp"
 #include "rt/sharded_store.hpp"
 #include "rt/server.hpp"
 #include "rt/tcp_server.hpp"
@@ -122,18 +122,18 @@ TEST(RtTcp, AuthGatesOpsAndTokenSticksToConnection) {
 // The tentpole accounting property, in-test: multithreaded pipelined
 // clients over several reactors, every request answered exactly once.
 TEST(RtTcp, PipelinedMultithreadedClientsLoseNothing) {
-  NetLoadgenOptions opt;
-  opt.base.client_threads = 4;
-  opt.base.server_threads = 2;
-  opt.base.ops_per_thread = 3000;
-  opt.base.batch = 24;
-  opt.base.value_size = 256;
-  opt.base.del_fraction = 0.1;
-  opt.base.key_space = 512;
-  opt.base.seed = 42;
+  LoadgenOptions opt;
+  opt.client_threads = 4;
+  opt.server_threads = 2;
+  opt.stream.ops_per_thread = 3000;
+  opt.batch = 24;
+  opt.value_size = 256;
+  opt.stream.del_fraction = 0.1;
+  opt.stream.key_space = 512;
+  opt.stream.seed = 42;
   opt.connections_per_thread = 3;
   opt.reactors = 2;
-  const auto r = run_net_loadgen(opt);
+  const auto r = run_loadgen(opt);
   const std::uint64_t total = 4u * 3000u;
   EXPECT_EQ(r.responses, total);
   EXPECT_EQ(r.lost, 0u);
@@ -153,19 +153,18 @@ TEST(RtTcp, SingleThreadSocketReplayMatchesInProcessDigest) {
   LoadgenOptions base;
   base.client_threads = 1;
   base.server_threads = 1;
-  base.ops_per_thread = 4000;
+  base.stream.ops_per_thread = 4000;
   base.batch = 16;
   base.value_size = 128;
-  base.del_fraction = 0.15;
-  base.key_space = 1024;
+  base.stream.del_fraction = 0.15;
+  base.stream.key_space = 1024;
   for (const std::uint64_t seed : {3u, 17u}) {
-    base.seed = seed;
+    base.stream.seed = seed;
     const auto inproc = run_loadgen(base);
-    NetLoadgenOptions nopt;
-    nopt.base = base;
+    LoadgenOptions nopt = base;
     nopt.connections_per_thread = 1;
     nopt.reactors = 1;
-    const auto net = run_net_loadgen(nopt);
+    const auto net = run_loadgen(nopt);
     EXPECT_EQ(net.lost, 0u) << "seed " << seed;
     EXPECT_EQ(net.duplicated, 0u) << "seed " << seed;
     EXPECT_EQ(net.result_digest, inproc.result_digest) << "seed " << seed;

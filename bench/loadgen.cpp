@@ -66,7 +66,7 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--threads N] [--server-threads N] [--shards N]\n"
-               "          [--ops N] [--batch N] [--value-size BYTES]\n"
+               "          [--ops N] [--batch N>=1] [--value-size BYTES]\n"
                "          [--get-ratio F] [--del-ratio F] [--skew THETA]\n"
                "          [--keys N] [--service-us U] [--seed S]\n"
                "       %s --qos [--tenants N] [--seed S] [--isolation-factor F]\n"
@@ -247,7 +247,10 @@ int main(int argc, char** argv) {
     else if (want("--server-threads")) { opt.server_threads = std::strtoul(argv[++i], nullptr, 10); }
     else if (want("--shards")) { opt.shards = std::strtoul(argv[++i], nullptr, 10); }
     else if (want("--ops")) { opt.stream.ops_per_thread = std::strtoul(argv[++i], nullptr, 10); }
-    else if (want("--batch")) { opt.batch = std::strtoul(argv[++i], nullptr, 10); }
+    else if (want("--batch")) {
+      opt.batch = std::strtoul(argv[++i], nullptr, 10);
+      if (opt.batch == 0) { usage(argv[0]); return 2; }
+    }
     else if (want("--value-size")) { opt.value_size = std::strtoull(argv[++i], nullptr, 10); }
     else if (want("--get-ratio")) { opt.stream.get_fraction = std::strtod(argv[++i], nullptr); }
     else if (want("--del-ratio")) { opt.stream.del_fraction = std::strtod(argv[++i], nullptr); }

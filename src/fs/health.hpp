@@ -1,31 +1,16 @@
 // Per-server health tracking for the client path (partition tolerance).
 //
-// One CircuitBreaker per participating node, shared by every Client of
-// the filesystem (clients are transient by-value handles; the registry
-// lives in the FileSystem). The breaker follows the classic three-state
-// machine:
-//
-//   closed     -- requests flow; `failure_threshold` *consecutive*
-//                 connectivity faults (timeout / unreachable /
-//                 unavailable / io_error, see errc_health_fault) open it;
-//   open       -- requests are rejected locally (Errc::rejected, zero
-//                 simulated cost) until `cooldown` elapses;
-//   half-open  -- exactly one trial request is let through; success
-//                 closes the breaker, failure re-opens it for another
-//                 cooldown.
-//
-// Application-level answers (not_found, permission, ...) prove the server
-// is alive and close the breaker like any success. Rejections the client
-// synthesizes itself never feed back into the state machine.
-//
-// Everything is driven by simulated time passed in by the caller, so the
-// state machine is deterministic and replays exactly under a fixed seed.
+// One CircuitBreaker (common/breaker.hpp) per participating node, shared
+// by every Client of the filesystem (clients are transient by-value
+// handles; the registry lives in the FileSystem). Everything is driven by
+// simulated time passed in by the caller, so the breakers are
+// deterministic and replay exactly under a fixed seed.
 #pragma once
 
-#include <cstdint>
-#include <string_view>
+#include <cstddef>
 #include <unordered_map>
 
+#include "common/breaker.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
 
@@ -34,43 +19,6 @@ struct Observability;
 }
 
 namespace memfss::fs {
-
-enum class BreakerState : std::uint8_t { closed, open, half_open };
-
-constexpr std::string_view breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::closed: return "closed";
-    case BreakerState::open: return "open";
-    case BreakerState::half_open: return "half-open";
-  }
-  return "?";
-}
-
-struct BreakerConfig {
-  int failure_threshold = 0;  ///< consecutive faults to open; 0 disables
-  SimTime cooldown = 1.0;     ///< open -> half-open trial delay
-};
-
-class CircuitBreaker {
- public:
-  /// Whether a request may be issued now. Performs the open -> half-open
-  /// transition when the cooldown has elapsed; in half-open, admits a
-  /// single trial until its outcome is recorded.
-  bool allow(const BreakerConfig& cfg, SimTime now);
-
-  /// Record a request outcome. `fault` per errc_health_fault. Returns
-  /// true when this record transitioned the breaker to open.
-  bool record(const BreakerConfig& cfg, bool fault, SimTime now);
-
-  BreakerState state() const { return state_; }
-  int consecutive_failures() const { return consecutive_; }
-
- private:
-  BreakerState state_ = BreakerState::closed;
-  int consecutive_ = 0;
-  SimTime opened_at_ = 0.0;
-  bool trial_in_flight_ = false;
-};
 
 /// NodeId -> CircuitBreaker map plus aggregate counters. With a zero
 /// failure_threshold the registry is inert: allow() is always true and

@@ -158,6 +158,28 @@ Frame make_request(Opcode op, std::uint64_t id, std::uint32_t tenant,
 
 }  // namespace
 
+Status NetClient::authenticate(std::uint64_t id, std::string_view token) {
+  if (Status st = send(make_auth(id, token)); !st.ok()) {
+    abort();
+    return st;
+  }
+  Result<Frame> r = recv();
+  if (!r.ok()) {
+    abort();
+    return r.error();
+  }
+  const Frame& f = r.value();
+  if ((f.flags & kFlagProtocolError) != 0 || f.request_id != id) {
+    abort();
+    return {Errc::io_error, "bad auth response"};
+  }
+  if (static_cast<Errc>(f.status) != Errc::ok) {
+    close();
+    return {static_cast<Errc>(f.status), "auth rejected"};
+  }
+  return {};
+}
+
 Frame NetClient::make_put(std::uint64_t id, std::uint32_t tenant,
                           std::string_view key,
                           std::vector<std::uint8_t> value) {

@@ -69,6 +69,13 @@ class NetClient {
   /// timeout). EOF with no buffered frame is Errc::unavailable.
   Result<Frame> recv();
 
+  /// AUTH handshake: send the token, then require an answer with no
+  /// protocol-error flag, the same request id, and status ok. A
+  /// transport or protocol failure aborts the connection (io_error for
+  /// a malformed answer); a rejection closes it and returns the
+  /// server's status (e.g. permission).
+  Status authenticate(std::uint64_t id, std::string_view token);
+
   // -- request builders -------------------------------------------------
   static Frame make_put(std::uint64_t id, std::uint32_t tenant,
                         std::string_view key,

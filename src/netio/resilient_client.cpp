@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -29,6 +30,15 @@ bool permanent_errc(Errc e) {
          e == Errc::fatal;
 }
 
+/// Why an admitted attempt failed: `cause` feeds the breaker, `code` is
+/// what the call reports if it stops here, and `retry` says whether
+/// sending the request again is safe.
+struct Failure {
+  Errc cause;
+  Errc code;
+  bool retry;
+};
+
 }  // namespace
 
 ResilientClient::ResilientClient(ResilientOptions opts)
@@ -46,53 +56,23 @@ double ResilientClient::backoff_delay(std::uint32_t fault_streak) {
   return std::max(d, 0.0);
 }
 
-void ResilientClient::record_fault(Errc e) {
-  if (!errc_health_fault(e)) return;
-  ++consecutive_faults_;
-  if (opts_.breaker_threshold == 0) return;
-  // A half-open trial failing re-opens immediately; a closed breaker
-  // opens after the configured streak (HealthRegistry semantics).
-  if (breaker_ == Breaker::half_open ||
-      consecutive_faults_ >= opts_.breaker_threshold) {
-    breaker_ = Breaker::open;
-    breaker_open_until_s_ = mono_s() + opts_.breaker_cooldown_s;
-    ++stats_.breaker_opens;
-  }
-}
-
-void ResilientClient::record_ok() {
-  consecutive_faults_ = 0;
-  breaker_ = Breaker::closed;
+void ResilientClient::record(Errc e) {
+  // A corrupted stream is a broken channel: a fault, like io_error.
+  const bool fault = e == Errc::corruption || errc_health_fault(e);
+  if (breaker_.record(opts_.breaker, fault, mono_s())) ++stats_.breaker_opens;
 }
 
 Status ResilientClient::ensure_connected(double remaining_s) {
   if (Status st = net_.connect(opts_.port); !st.ok()) return st;
   net_.set_recv_timeout(
       std::clamp(remaining_s, 1e-3, opts_.attempt_recv_timeout_s));
+  // AUTH ids live in a private high range so they can never collide
+  // with caller-chosen request ids.
   if (!opts_.auth_token.empty()) {
-    // AUTH ids live in a private high range so they can never collide
-    // with caller-chosen request ids.
-    const Frame auth = NetClient::make_auth((1ull << 63) | ++auth_id_,
-                                            opts_.auth_token);
-    if (Status st = net_.send(auth); !st.ok()) {
-      net_.abort();
+    if (Status st = net_.authenticate((1ull << 63) | ++auth_id_,
+                                      opts_.auth_token);
+        !st.ok())
       return st;
-    }
-    Result<Frame> r = net_.recv();
-    if (!r.ok()) {
-      net_.abort();
-      return r.error();
-    }
-    const Frame& f = r.value();
-    if ((f.flags & kFlagProtocolError) != 0 ||
-        f.request_id != auth.request_id) {
-      net_.abort();
-      return {Errc::io_error, "bad auth response"};
-    }
-    if (static_cast<Errc>(f.status) != Errc::ok) {
-      net_.close();
-      return {static_cast<Errc>(f.status), "auth rejected"};
-    }
   }
   ++stats_.reconnects;
   return {};
@@ -107,55 +87,17 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
   CallOutcome out;
   Errc last_fail = Errc::timeout;
   std::uint32_t fault_streak = 0;
+  Frame resp;
 
-  // Back off (bounded by the deadline) after a failed attempt; returns
-  // false once the budget is spent.
-  const auto backoff = [&]() -> bool {
-    const double rem = remaining();
-    if (rem <= 0) return false;
-    sleep_s(std::min(backoff_delay(++fault_streak), rem));
-    return remaining() > 0;
-  };
-
-  for (;;) {
-    // Circuit breaker gate: while open, reject locally (no socket
-    // traffic) until the cooldown elapses, then admit one trial.
-    if (breaker_ == Breaker::open) {
-      const double now = mono_s();
-      if (now < breaker_open_until_s_) {
-        ++stats_.breaker_rejections;
-        const double wait =
-            std::min(breaker_open_until_s_ - now, remaining());
-        if (wait <= 0 || remaining() - wait <= 0) {
-          out.code = Errc::rejected;
-          return out;
-        }
-        sleep_s(wait);
-      }
-      breaker_ = Breaker::half_open;
-    }
-    if (remaining() <= 0) {
-      out.code = last_fail;
-      return out;
-    }
-
+  // One attempt the breaker admitted: connect if needed, send, receive
+  // and verify. On a server answer it fills `resp` and returns nothing.
+  const auto attempt = [&]() -> std::optional<Failure> {
     if (!net_.connected()) {
       if (Status st = ensure_connected(remaining()); !st.ok()) {
         ++stats_.connect_failures;
-        record_fault(st.code());
-        if (permanent_errc(st.code())) {
-          out.code = st.code();
-          return out;
-        }
-        last_fail = st.code();
-        if (!backoff()) {
-          out.code = last_fail;
-          return out;
-        }
-        continue;
+        return Failure{st.code(), st.code(), !permanent_errc(st.code())};
       }
     }
-
     ++out.attempts;
     ++stats_.attempts;
     if (out.attempts > 1) ++stats_.retries;
@@ -163,87 +105,32 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
     // Past this point bytes may reach the server even on failure, so a
     // non-idempotent op can no longer be blindly retried.
     ++out.sends;
-    if (Status st = net_.send(request); !st.ok()) {
-      net_.abort();
-      record_fault(st.code());
-      last_fail = st.code();
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
-      continue;
-    }
+    if (Status st = net_.send(request); !st.ok())
+      return Failure{st.code(), st.code(), idempotent};
 
     net_.set_recv_timeout(
         std::clamp(remaining(), 1e-3, opts_.attempt_recv_timeout_s));
     Result<Frame> r = net_.recv();
     if (!r.ok()) {
       const Errc e = r.code();
-      // The request may still be in flight server-side: abort with an
-      // RST so a late response can't leak into the next call.
-      net_.abort();
-      if (e == Errc::corruption) {
-        ++stats_.corrupt_frames;
-        last_fail = Errc::fatal;  // never surface corrupted data softly
-      } else {
-        if (e == Errc::timeout) ++stats_.timeouts;
-        last_fail = e;
-      }
-      record_fault(e == Errc::corruption ? Errc::io_error : e);
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
-      continue;
+      if (e == Errc::timeout) ++stats_.timeouts;
+      if (e != Errc::corruption) return Failure{e, e, idempotent};
+      ++stats_.corrupt_frames;  // never surface corrupted data softly
+      return Failure{e, Errc::fatal, idempotent};
     }
-
-    Frame resp = std::move(r).value();
+    resp = std::move(r).value();
+    const Failure broken{Errc::io_error, Errc::fatal, idempotent};
     if ((resp.flags & kFlagProtocolError) != 0) {
       // The server's decoder rejected the stream. With one request in
       // flight ours was never executed, but the channel is gone.
       ++stats_.protocol_errors;
-      net_.abort();
-      last_fail = Errc::fatal;
-      record_fault(Errc::io_error);
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
-      continue;
+      return broken;
     }
     if (resp.request_id != request.request_id) {
       ++stats_.mismatched_ids;
-      net_.abort();
-      last_fail = Errc::fatal;
-      record_fault(Errc::io_error);
-      if (!idempotent || !backoff()) {
-        out.code = last_fail;
-        return out;
-      }
-      continue;
+      return broken;
     }
-
-    const Errc code = static_cast<Errc>(resp.status);
-    if (code == Errc::overloaded) {
-      // A deliberate QoS shed: the server is healthy and nothing was
-      // applied, so honoring the hint and retrying is safe for any op.
-      ++stats_.overloaded_waits;
-      record_ok();
-      fault_streak = 0;
-      const double hint = resp.retry_after_us > 0
-                              ? resp.retry_after_us / 1e6
-                              : opts_.backoff_base_s;
-      if (remaining() - hint <= 0) {
-        out.code = code;
-        out.response = std::move(resp);
-        out.answered = true;
-        return out;
-      }
-      sleep_s(hint);
-      continue;
-    }
-
-    if (code == Errc::ok &&
+    if (resp.status == static_cast<std::uint8_t>(Errc::ok) &&
         request.opcode == static_cast<std::uint8_t>(Opcode::get) &&
         !resp.value.empty()) {
       // End-to-end integrity: the payload must hash to the checksum the
@@ -254,23 +141,62 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
           resp.value.size()));
       if (c != resp.checksum) {
         ++stats_.value_checksum_failures;
-        net_.abort();
-        last_fail = Errc::fatal;
-        record_fault(Errc::io_error);
-        if (!idempotent || !backoff()) {
-          out.code = last_fail;
-          return out;
-        }
+        return broken;
+      }
+    }
+    return std::nullopt;
+  };
+
+  while (remaining() > 0) {
+    // Circuit breaker gate: while open, reject locally (no socket
+    // traffic) until the cooldown elapses, then admit one trial.
+    const double now = mono_s();
+    if (!breaker_.allow(opts_.breaker, now)) {
+      ++stats_.breaker_rejections;
+      const double wait = breaker_.cooldown_end(opts_.breaker) - now;
+      if (wait >= remaining()) {
+        out.code = Errc::rejected;
+        return out;
+      }
+      sleep_s(wait);
+      continue;
+    }
+
+    if (const std::optional<Failure> f = attempt()) {
+      // The one fail-and-retry exit. The request may still be in flight
+      // server-side: abort with an RST so a late response can't leak
+      // into the next call, then back off within the deadline.
+      net_.abort();
+      record(f->cause);
+      last_fail = f->code;
+      const double rem = remaining();
+      if (!f->retry || rem <= 0) break;
+      sleep_s(std::min(backoff_delay(++fault_streak), rem));
+      continue;
+    }
+
+    record(Errc::ok);
+    const Errc code = static_cast<Errc>(resp.status);
+    if (code == Errc::overloaded) {
+      // A deliberate QoS shed: the server is healthy and nothing was
+      // applied, so honoring the hint and retrying is safe for any op.
+      ++stats_.overloaded_waits;
+      fault_streak = 0;
+      const double hint = resp.retry_after_us > 0
+                              ? resp.retry_after_us / 1e6
+                              : opts_.backoff_base_s;
+      if (remaining() - hint > 0) {
+        sleep_s(hint);
         continue;
       }
     }
-
-    record_ok();
     out.code = code;
     out.response = std::move(resp);
     out.answered = true;
     return out;
   }
+  out.code = last_fail;
+  return out;
 }
 
 }  // namespace memfss::netio

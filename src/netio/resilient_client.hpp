@@ -16,11 +16,14 @@
 //   - Errc::overloaded honored as an answer, not a fault: wait the
 //     server's retry-after hint, then try again (QoS sheds prove the
 //     server healthy, so they never trip the breaker);
-//   - a connection-level circuit breaker mirroring fs::HealthRegistry:
-//     closed -> open after `breaker_threshold` consecutive health
-//     faults (errc_health_fault), open rejects locally for the
-//     cooldown, half-open admits one trial whose outcome closes or
-//     re-opens it;
+//   - a connection-level circuit breaker: the one CircuitBreaker of
+//     common/breaker.hpp (fs::HealthRegistry keeps one per node), fed
+//     monotonic seconds. `breaker.failure_threshold` consecutive health
+//     faults (errc_health_fault; decoder corruption counts as io_error)
+//     open it, open rejects locally for the cooldown, and half-open
+//     admits one trial whose outcome closes or re-opens it. Every
+//     attempt the breaker admits records exactly one outcome, and any
+//     server answer -- permission during AUTH included -- closes it;
 //   - integrity: a corrupted frame (decoder checksum failure), a
 //     response carrying kFlagProtocolError, a response for a request id
 //     we never sent, or a GET payload whose fnv1a disagrees with the
@@ -35,6 +38,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/breaker.hpp"
 #include "common/rng.hpp"
 #include "netio/client.hpp"
 
@@ -51,8 +55,8 @@ struct ResilientOptions {
   double backoff_max_s = 0.25;
   double backoff_jitter = 0.5;  ///< +/- fraction of the delay
 
-  std::uint32_t breaker_threshold = 8;  ///< consecutive faults; 0 = disabled
-  double breaker_cooldown_s = 0.2;      ///< open -> half-open delay
+  /// Consecutive faults to open (0 = disabled); cooldown in seconds.
+  BreakerConfig breaker{8, 0.2};
 };
 
 /// Monotonic per-client counters (single-threaded, read between calls).
@@ -99,16 +103,14 @@ class ResilientClient {
                    double deadline_s = 0);
 
   const ResilientStats& stats() const { return stats_; }
-  bool breaker_open() const { return breaker_ == Breaker::open; }
+  bool breaker_open() const { return breaker_.state() == BreakerState::open; }
   /// Drop the connection (orderly). Next call reconnects.
   void disconnect();
 
  private:
-  enum class Breaker : std::uint8_t { closed, open, half_open };
-
   Status ensure_connected(double remaining_s);
-  void record_fault(Errc e);
-  void record_ok();
+  /// Feed one admitted attempt's outcome to the breaker.
+  void record(Errc e);
   double backoff_delay(std::uint32_t fault_streak);
 
   ResilientOptions opts_;
@@ -116,10 +118,7 @@ class ResilientClient {
   Rng rng_;
   ResilientStats stats_;
   std::uint64_t auth_id_ = 0;  ///< ids for the AUTH handshake frames
-
-  Breaker breaker_ = Breaker::closed;
-  std::uint32_t consecutive_faults_ = 0;
-  double breaker_open_until_s_ = 0;  ///< monotonic seconds
+  CircuitBreaker breaker_;     ///< on monotonic seconds
 };
 
 }  // namespace memfss::netio

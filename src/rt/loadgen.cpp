@@ -42,14 +42,16 @@ struct SlotResult {
 /// Replays one thread's stream in closed-loop batches. `step(first,
 /// slots)` runs stream ops [first, first + slots.size()) and fills one
 /// slot per op; it returns false once its transport is dead, and the
-/// rest of the stream then counts as lost.
+/// rest of the stream then counts as lost. A zero batch runs one op at a
+/// time.
 template <class Step>
 void replay(const std::vector<GenOp>& stream, std::size_t batch, Step& step,
             ThreadTally& tally) {
   std::vector<SlotResult> slots;
   std::size_t i = 0;
   while (i < stream.size()) {
-    const std::size_t n = std::min(batch, stream.size() - i);
+    const std::size_t n =
+        std::min(std::max<std::size_t>(batch, 1), stream.size() - i);
     slots.assign(n, SlotResult{});
     const bool alive = step(i, slots);
     for (std::size_t j = 0; j < n; ++j) {
@@ -101,12 +103,7 @@ class SocketStep {
     for (std::size_t c = 0; c < conns_.size() && alive_; ++c) {
       auto& conn = conns_[c];
       alive_ = conn.connect(port).ok() && conn.set_recv_timeout(30.0).ok() &&
-               conn.send(netio::NetClient::make_auth(kAuthIdBase + c,
-                                                     opt.auth_token)).ok();
-      if (alive_) {
-        auto auth = conn.recv();
-        alive_ = auth.ok() && auth.value().status == 0;
-      }
+               conn.authenticate(kAuthIdBase + c, opt.auth_token).ok();
     }
     if (!alive_) ++tally_.transport_errors;
   }
@@ -119,24 +116,9 @@ class SocketStep {
       const GenOp& g = stream_[first + j];
       const std::size_t c = j % conns;
       const std::uint64_t rid = static_cast<std::uint64_t>(first + j);
-      netio::Frame f;
-      switch (g.type) {
-        case Op::Type::put: {
-          auto blob = stream_value(opt_.value_size, g.key_index, first + j);
-          const auto span = blob.bytes();
-          f = netio::NetClient::make_put(
-              rid, 0, loadgen_key(g.key_index),
-              std::vector<std::uint8_t>(span.begin(), span.end()));
-          break;
-        }
-        case Op::Type::del:
-          f = netio::NetClient::make_del(rid, 0, loadgen_key(g.key_index));
-          break;
-        default:
-          f = netio::NetClient::make_get(rid, 0, loadgen_key(g.key_index));
-          break;
-      }
-      netio::encode_frame(f, wire_[c]);
+      Op op =
+          stream_op(g, loadgen_key(g.key_index), opt_.value_size, first + j);
+      netio::encode_frame(op_frame(std::move(op), rid), wire_[c]);
       open_[c].emplace(rid, j);
     }
     for (std::size_t c = 0; c < conns && alive_; ++c) {
@@ -218,12 +200,8 @@ LoadgenResult run_loadgen(const LoadgenOptions& opt) {
       batch.reserve(slots.size());
       for (std::size_t j = 0; j < slots.size(); ++j) {
         const GenOp& g = stream[first + j];
-        Op op;
-        op.type = g.type;
-        op.key = loadgen_key(g.key_index);
-        if (g.type == Op::Type::put)
-          op.value = stream_value(opt.value_size, g.key_index, first + j);
-        batch.push_back(std::move(op));
+        batch.push_back(stream_op(g, loadgen_key(g.key_index), opt.value_size,
+                                  first + j));
       }
       const auto results = server.run_batch(opt.auth_token, std::move(batch));
       for (std::size_t j = 0; j < slots.size(); ++j) {
@@ -424,18 +402,15 @@ QosRunResult run_qos_scenario(const QosOptions& opt) {
         if (normals_done.load(std::memory_order_acquire)) break;
         i = 0;  // abuser: cycle the stream until the others finish
       }
-      const std::size_t n = std::min(spec.batch, stream.size() - i);
+      // A zero batch runs one op at a time.
+      const std::size_t n =
+          std::min(std::max<std::size_t>(spec.batch, 1), stream.size() - i);
       std::vector<Op> batch;
       batch.reserve(n);
       for (std::size_t j = 0; j < n; ++j) {
         const GenOp& g = stream[i + j];
-        Op op;
-        op.type = g.type;
-        op.key = qos_key(spec.name, g.key_index);
-        op.tenant = tid;
-        if (g.type == Op::Type::put)
-          op.value = stream_value(opt.value_size, g.key_index, i + j);
-        batch.push_back(std::move(op));
+        batch.push_back(stream_op(g, qos_key(spec.name, g.key_index),
+                                  opt.value_size, i + j, tid));
       }
       const auto results = server.run_batch(opt.auth_token, std::move(batch));
       double worst_hint_s = 0.0;

@@ -42,7 +42,7 @@ struct LoadgenOptions {
   std::size_t client_threads = 1;   ///< closed-loop submitters
   std::size_t server_threads = 1;   ///< RuntimeServer workers
   std::size_t shards = 16;
-  std::size_t batch = 16;           ///< ops in flight per client
+  std::size_t batch = 16;           ///< ops in flight per client (0 runs 1)
   Bytes value_size = 1024;          ///< materialized payload bytes
   Bytes capacity = 256 * units::MiB;
   std::size_t queue_capacity = 4096;
@@ -113,7 +113,7 @@ struct QosTenantSpec {
   Bytes memory_quota = 0;           ///< resident bytes (0 = unlimited)
   std::size_t client_threads = 1;
   std::size_t ops_per_thread = 1000;  ///< abusive: stream length, cycled
-  std::size_t batch = 2;            ///< ops in flight per client
+  std::size_t batch = 2;            ///< ops in flight per client (0 runs 1)
   std::uint32_t pace_us = 0;        ///< sleep between batches
   bool abusive = false;  ///< cycle until others finish; ignore hints
 };

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "hash/hashes.hpp"
-#include "kvstore/blob.hpp"
 #include "netio/client.hpp"
 #include "netio/resilient_client.hpp"
 #include "rt/server.hpp"
@@ -72,29 +71,18 @@ void run_client(const NetChaosOptions& opt, std::uint16_t proxy_port,
   ropt.default_deadline_s = opt.call_deadline_s;
   ropt.backoff_base_s = 0.002;
   ropt.backoff_max_s = 0.05;
-  ropt.breaker_cooldown_s = 0.05;
+  ropt.breaker.cooldown = 0.05;
   netio::ResilientClient rc(ropt);
 
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const GenOp& g = stream[i];
     const std::uint64_t rid =
         (static_cast<std::uint64_t>(t + 1) << 40) | static_cast<std::uint64_t>(i);
-    const std::string key = chaos_key(t, g.key_index);
     KeyState& ks = ta.keys[g.key_index];
 
-    netio::Frame req;
-    std::uint64_t put_sum = 0;
-    if (g.type == Op::Type::put) {
-      kvstore::Blob v = stream_value(opt.value_size, g.key_index, i);
-      put_sum = v.checksum();
-      req = netio::NetClient::make_put(
-          rid, 0, key,
-          std::vector<std::uint8_t>(v.bytes().begin(), v.bytes().end()));
-    } else if (g.type == Op::Type::get) {
-      req = netio::NetClient::make_get(rid, 0, key);
-    } else {
-      req = netio::NetClient::make_del(rid, 0, key);
-    }
+    Op op = stream_op(g, chaos_key(t, g.key_index), opt.value_size, i);
+    const std::uint64_t put_sum = op.value.checksum();  // 0 unless a put
+    const netio::Frame req = op_frame(std::move(op), rid);
 
     const double t0 = mono_s();
     // Every op here is idempotent: PUT re-sends the identical
@@ -200,11 +188,7 @@ std::uint64_t oracle_replay(const NetChaosOptions& opt) {
     const std::vector<GenOp> stream = generate_stream(sopt, t);
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const GenOp& g = stream[i];
-      Op op;
-      op.type = g.type;
-      op.key = chaos_key(t, g.key_index);
-      if (g.type == Op::Type::put)
-        op.value = stream_value(opt.value_size, g.key_index, i);
+      Op op = stream_op(g, chaos_key(t, g.key_index), opt.value_size, i);
       const OpResult r = server.submit(opt.auth_token, std::move(op)).get();
       digest = fold_result(digest, g, r.code, r.value.checksum());
     }
@@ -293,12 +277,7 @@ NetChaosResult run_net_chaos(const NetChaosOptions& opt) {
     if (st.ok()) st = direct.set_recv_timeout(2.0);
     if (st.ok()) {
       std::uint64_t vid = 1ull << 50;
-      st = direct.send(netio::NetClient::make_auth(++vid, opt.auth_token));
-      if (st.ok()) {
-        auto af = direct.recv();
-        if (!af.ok() || af.value().status != 0)
-          st = Status(Errc::unavailable, "verification auth failed");
-      }
+      st = direct.authenticate(++vid, opt.auth_token);
       for (std::size_t t = 0; st.ok() && t < opt.client_threads; ++t) {
         for (std::uint32_t k = 0; st.ok() && k < opt.key_space; ++k) {
           const KeyState& ks = tallies[t].keys[k];

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "netio/client.hpp"
 
 namespace memfss::rt {
 
@@ -72,6 +73,30 @@ kvstore::Blob stream_value(Bytes size, std::uint32_t key_index,
                     static_cast<std::uint64_t>(op_index);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(x = splitmix64(x));
   return kvstore::Blob::materialized(std::move(bytes));
+}
+
+Op stream_op(const GenOp& g, std::string key, Bytes value_size,
+             std::size_t op_index, std::uint32_t tenant) {
+  Op op;
+  op.type = g.type;
+  op.key = std::move(key);
+  op.tenant = tenant;
+  if (g.type == Op::Type::put)
+    op.value = stream_value(value_size, g.key_index, op_index);
+  return op;
+}
+
+netio::Frame op_frame(Op&& op, std::uint64_t request_id) {
+  using netio::NetClient;
+  switch (op.type) {
+    case Op::Type::put:
+      return NetClient::make_put(request_id, op.tenant, op.key,
+                                 std::move(op.value).take_bytes());
+    case Op::Type::del:
+      return NetClient::make_del(request_id, op.tenant, op.key);
+    default:  // streams hold only put, get and del
+      return NetClient::make_get(request_id, op.tenant, op.key);
+  }
 }
 
 }  // namespace memfss::rt

@@ -3,7 +3,8 @@
 // (rt::run_loadgen, in process or over sockets), the network chaos
 // soak, the sharded-store stress test and perfbench -- generates the
 // *identical* stream from the same (seed, thread) pair. The
-// result-digest folding lives here too, so the in-process and
+// request builders (stream_op, and op_frame for the socket harnesses)
+// and the result-digest folding live here too, so the in-process and
 // over-the-wire replays of one stream can be compared digest-for-digest:
 // with one client thread, one worker, and one connection, both
 // transports must produce the same `result_digest`.
@@ -20,6 +21,7 @@
 #include "common/types.hpp"
 #include "hash/hashes.hpp"
 #include "kvstore/blob.hpp"
+#include "netio/frame.hpp"
 #include "rt/server.hpp"
 
 namespace memfss::rt {
@@ -54,6 +56,16 @@ std::string loadgen_key(std::uint32_t key_index);
 /// reproduces it byte-for-byte on either side of a socket.
 kvstore::Blob stream_value(Bytes size, std::uint32_t key_index,
                            std::size_t op_index);
+
+/// The request for stream op `g` at stream offset `op_index`, under
+/// `key` (each harness names its own key space): a put carries
+/// stream_value(value_size, g.key_index, op_index).
+Op stream_op(const GenOp& g, std::string key, Bytes value_size,
+             std::size_t op_index, std::uint32_t tenant = 0);
+
+/// `op` as a wire request with id `request_id`; a put's bytes move into
+/// the frame without a copy.
+netio::Frame op_frame(Op&& op, std::uint64_t request_id);
 
 /// Fold one (op, result) pair into a running FNV-1a digest -- the
 /// digest contract shared by the in-process and socket replay paths:

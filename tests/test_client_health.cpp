@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "co_test.hpp"
+#include "common/breaker.hpp"
 #include "common/str.hpp"
 #include "fs/client.hpp"
 #include "fs/filesystem.hpp"
@@ -65,6 +66,17 @@ TEST(CircuitBreaker, FailedTrialReopensForAnotherCooldown) {
   EXPECT_FALSE(b.allow(kCfg, 1.5));   // new cooldown runs from the reopen
   EXPECT_TRUE(b.allow(kCfg, 2.2));    // and eventually admits a new trial
   EXPECT_EQ(b.state(), BreakerState::half_open);
+}
+
+TEST(CircuitBreaker, ZeroThresholdIsInert) {
+  constexpr BreakerConfig kOff{/*failure_threshold=*/0, /*cooldown=*/1.0};
+  CircuitBreaker b;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(b.allow(kOff, double(i)));
+    EXPECT_FALSE(b.record(kOff, true, double(i)));
+  }
+  EXPECT_EQ(b.state(), BreakerState::closed);
+  EXPECT_TRUE(b.allow(kOff, 100.0));
 }
 
 TEST(HealthRegistry, DisabledRegistryIsInert) {

@@ -11,7 +11,8 @@
 //     decoder reassembles every frame byte-exactly;
 //   - resilience: calls succeed across kill_connections(), the breaker
 //     opens against a dead port and closes again via half-open once the
-//     server appears, and a corrupted response frame is retried --
+//     server appears (also when that trial is answered `permission`),
+//     and a corrupted response frame is retried --
 //     surfacing the *correct* bytes, never the corrupted ones.
 #include <gtest/gtest.h>
 
@@ -57,10 +58,7 @@ Frame expect_recv(NetClient& c) {
 }
 
 void auth_ok(NetClient& c, std::uint64_t id = 1) {
-  ASSERT_TRUE(c.send(NetClient::make_auth(id, "rt")).ok());
-  const Frame f = expect_recv(c);
-  ASSERT_EQ(f.request_id, id);
-  ASSERT_EQ(f.status, static_cast<std::uint8_t>(Errc::ok));
+  ASSERT_TRUE(c.authenticate(id, "rt").ok());
 }
 
 std::size_t open_fd_count() {
@@ -277,8 +275,7 @@ TEST(NetioChaos, BreakerOpensOnDeadPortAndRecoversHalfOpen) {
   opt.default_deadline_s = 0.3;
   opt.backoff_base_s = 0.001;
   opt.backoff_max_s = 0.01;
-  opt.breaker_threshold = 3;
-  opt.breaker_cooldown_s = 0.15;
+  opt.breaker = {3, 0.15};
   ResilientClient rc(opt);
 
   // Nothing listens: calls fail, faults accumulate, the breaker opens
@@ -306,6 +303,44 @@ TEST(NetioChaos, BreakerOpensOnDeadPortAndRecoversHalfOpen) {
   ASSERT_TRUE(out.answered);
   EXPECT_EQ(out.code, Errc::ok);
   EXPECT_FALSE(rc.breaker_open());
+}
+
+// Every attempt the breaker admits records one outcome. A half-open
+// trial answered `permission` at AUTH proves the server alive: it must
+// close the breaker, not leave the trial slot taken so that every later
+// call is rejected locally.
+TEST(NetioChaos, HalfOpenTrialAnsweredWithPermissionDoesNotWedge) {
+  const std::uint16_t port = idle_port();
+
+  ResilientOptions opt;
+  opt.port = port;
+  opt.auth_token = "not-the-token";
+  opt.attempt_recv_timeout_s = 0.05;
+  opt.default_deadline_s = 0.1;
+  opt.backoff_base_s = 0.001;
+  opt.backoff_max_s = 0.01;
+  opt.breaker = {3, 0.15};
+  ResilientClient rc(opt);
+
+  // Nothing listens: the breaker opens, and the deadline ends before
+  // the cooldown does.
+  EXPECT_FALSE(rc.call(NetClient::make_get(1, 0, "k"), true).answered);
+  ASSERT_TRUE(rc.breaker_open());
+
+  rt::TcpServer::Options topt;
+  topt.port = port;
+  Stack fx(topt);  // its token is "rt"
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const std::uint64_t rejections = rc.stats().breaker_rejections;
+  for (std::uint64_t id = 2; id <= 3; ++id) {
+    const double t0 = mono_s();
+    const CallOutcome out = rc.call(NetClient::make_get(id, 0, "k"), true, 5.0);
+    EXPECT_EQ(out.code, Errc::permission) << "call " << id;
+    EXPECT_LT(mono_s() - t0, 1.0) << "call " << id;
+    EXPECT_FALSE(rc.breaker_open());
+  }
+  EXPECT_EQ(rc.stats().breaker_rejections, rejections);
 }
 
 TEST(NetioChaos, CorruptedResponseIsRetriedNeverSurfaced) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <map>
 #include <sstream>
+#include <thread>
 
 namespace memfss::rt {
 namespace {
@@ -133,6 +136,57 @@ TEST(RtLoadgen, OpsPerSecExcludesShedOpsOnBothTransports) {
         r.puts + r.gets + r.dels + r.not_found + r.errors);
     ASSERT_GT(completed, 0.0);
     EXPECT_NEAR(r.ops_per_sec * r.wall_s, completed, 1e-6 * completed);
+  }
+}
+
+// A zero batch once left the stream offset at 0 forever, on both
+// transports and in the QoS client loop. Each arm runs on its own
+// thread, so a regression fails here instead of hanging the suite.
+TEST(RtLoadgen, ZeroBatchDoesNotHang) {
+  struct Arm {
+    const char* name;
+    std::future<std::uint64_t> ops;  ///< answered ops
+    std::thread runner;
+  };
+  // `run` holds copies of everything it reads, so a hung arm can be
+  // left running when the test gives up on it.
+  auto arm = [](const char* name, auto run) {
+    std::packaged_task<std::uint64_t()> task(std::move(run));
+    auto ops = task.get_future();
+    return Arm{name, std::move(ops), std::thread(std::move(task))};
+  };
+  auto loadgen_arm = [&](const char* name, std::size_t conns) {
+    auto opt = small_opts();
+    opt.stream.ops_per_thread = 10;
+    opt.batch = 0;
+    opt.connections_per_thread = conns;
+    return arm(name, [opt] {
+      const auto r = run_loadgen(opt);
+      return r.lost == 0 ? r.responses : 0;
+    });
+  };
+  QosOptions qopt;
+  qopt.server_threads = 1;
+  qopt.service_time_us = 0;
+  qopt.tenants.resize(1);
+  qopt.tenants[0].ops_per_thread = 10;
+  qopt.tenants[0].batch = 0;
+
+  Arm arms[] = {loadgen_arm("in-process", 0), loadgen_arm("socket", 1),
+                arm("qos", [qopt] {
+                  return run_qos_scenario(qopt).tenants[0].submitted;
+                })};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (Arm& a : arms) {
+    SCOPED_TRACE(a.name);
+    if (a.ops.wait_until(deadline) != std::future_status::ready) {
+      ADD_FAILURE() << "still running after 20 s";
+      a.runner.detach();  // a hung arm can never be joined
+      continue;
+    }
+    a.runner.join();
+    EXPECT_EQ(a.ops.get(), 10u);
   }
 }
 

@@ -55,10 +55,7 @@ Frame expect_recv(NetClient& c) {
 
 void auth_ok(NetClient& c, std::uint64_t id = 1,
              const std::string& token = "rt") {
-  ASSERT_TRUE(c.send(NetClient::make_auth(id, token)).ok());
-  const Frame f = expect_recv(c);
-  ASSERT_EQ(f.request_id, id);
-  ASSERT_EQ(f.status, static_cast<std::uint8_t>(Errc::ok));
+  ASSERT_TRUE(c.authenticate(id, token).ok());
 }
 
 TEST(RtTcp, BasicPutGetDelExistsOverOneConnection) {

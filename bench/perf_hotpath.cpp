@@ -20,9 +20,9 @@
 //     to the portable backend (the dispatch win is the ratio between the
 //     two); decode runs with data shards {0, 2} and parity {9} lost, so it
 //     pays matrix inversion + reconstruction every stripe.
-//   - hash.fnv_batch_MBps / fnv_scalar_MBps: fnv1a_many's interleaved
-//     4-lane digest loop vs. one fnv1a call per key over the same 4096
-//     placement-shaped keys.
+//   - hash.content_checksum_GBps: hash::content_checksum over a 64 KiB
+//     value, the checksum every stored value, EC sibling and GET
+//     verification pays.
 //
 // Served-path benches (DESIGN.md §13-14 -- the per-byte costs of one
 // large-value request on a worker):
@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -242,46 +243,29 @@ void bench_erasure() {
   bench_erasure_kernel("_scalar", erasure::gf256_kernels_by_name("scalar"));
 }
 
-// --- hash: batched FNV-1a digest MB/s ----------------------------------------
+// --- hash: value content checksum GB/s ---------------------------------------
 
-void bench_hash_batch() {
-  // Placement-shaped keys: the digest batch HRW scoring consumes.
-  const std::size_t n = 4096;
-  std::vector<std::string> keys;
-  keys.reserve(n);
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back("i12345:" + std::to_string(i) + ":stripe-payload-key");
-    bytes += keys.back().size();
-  }
-  std::vector<std::string_view> views(keys.begin(), keys.end());
-  std::vector<std::uint64_t> out(n);
-
-  std::size_t reps = 8;
+void bench_content_checksum() {
+  Rng rng(kSeed);
+  std::vector<std::uint8_t> value(64 * 1024);
+  for (auto& b : value) b = std::uint8_t(rng.next_u64());
+  std::size_t reps = 64;
   double dt = 0.0;
-  do {
-    reps *= 2;
-    const double t0 = now_sec();
-    for (std::size_t r = 0; r < reps; ++r) hash::fnv1a_many(views, out);
-    dt = now_sec() - t0;
-  } while (dt < 0.2);
-  emit("hash", "fnv_batch_MBps",
-       static_cast<double>(reps) * static_cast<double>(bytes) / dt / 1e6,
-       "MB/s");
-
-  reps = 8;
+  std::uint64_t sum = 0;
   do {
     reps *= 2;
     const double t0 = now_sec();
     for (std::size_t r = 0; r < reps; ++r)
-      for (std::size_t i = 0; i < n; ++i) out[i] = hash::fnv1a(views[i]);
+      sum += hash::content_checksum(
+          std::span(value).first(value.size() - (r & 1)));
     dt = now_sec() - t0;
   } while (dt < 0.2);
-  volatile std::uint64_t sink = out[n - 1];
+  volatile std::uint64_t sink = sum;
   (void)sink;
-  emit("hash", "fnv_scalar_MBps",
-       static_cast<double>(reps) * static_cast<double>(bytes) / dt / 1e6,
-       "MB/s");
+  emit("hash", "content_checksum_GBps",
+       static_cast<double>(reps) * static_cast<double>(value.size()) / dt /
+           1e9,
+       "GB/s");
 }
 
 // --- frame: wire integrity checksum GB/s -------------------------------------
@@ -411,7 +395,7 @@ int main(int argc, char** argv) {
   bench_placement();
   bench_simulator();
   bench_erasure();
-  bench_hash_batch();
+  bench_content_checksum();
   bench_frame();
   bench_rt_ec();
   bench_fig2_ddbag();

@@ -203,10 +203,10 @@ do_perf() {
     ./build-perf/bench/perf_hotpath "${fresh[-1]}"
   done
   # Compare the scalars least prone to run-to-run noise: event-loop
-  # throughput, the byte-pump rows (coding GB/s, batch-hash MB/s, frame
-  # checksum GB/s) and the served EC put/get latencies. A >20% move the
-  # wrong way against any committed number is a regression, and the
-  # SIMD encode path must hold >= 5x the committed pre-SIMD scalar
+  # throughput, the byte-pump rows (coding GB/s, value checksum GB/s,
+  # frame checksum GB/s) and the served EC put/get latencies. A >20%
+  # move the wrong way against any committed number is a regression, and
+  # the SIMD encode path must hold >= 5x the committed pre-SIMD scalar
   # baseline whenever a vector kernel is active.
   local rc=0
   python3 - BENCH_hotpath.json "${fresh[@]}" <<'EOF' || rc=$?
@@ -225,7 +225,7 @@ failures = []
 for bench, metric, higher in [("sim", "events_per_sec", True),
                               ("erasure", "rs_encode_GBps", True),
                               ("erasure", "rs_decode_loss_GBps", True),
-                              ("hash", "fnv_batch_MBps", True),
+                              ("hash", "content_checksum_GBps", True),
                               ("frame", "body_checksum_GBps", True),
                               ("rt_ec", "ec_put_us", False),
                               ("rt_ec", "ec_get_us", False)]:

@@ -1,7 +1,7 @@
 #include "hash/hashes.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <bit>
+#include <cstring>
 
 namespace memfss::hash {
 
@@ -34,44 +34,71 @@ std::uint64_t key_digest(std::string_view key) { return fnv1a(key); }
 
 namespace {
 
-/// Advance L independent FNV-1a chains in lockstep over their common
-/// length, so each chain's multiply latency hides behind the others';
-/// uneven tails finish serially (sibling/stripe keys in one batch share
-/// a shape, so the common run covers nearly everything).
-template <std::size_t L>
-void fnv1a_lanes(const std::string_view* keys, std::uint64_t* out) {
-  std::uint64_t h[L];
-  std::size_t common = keys[0].size();
-  for (std::size_t l = 0; l < L; ++l) {
-    h[l] = fnv1a_seed();
-    common = std::min(common, keys[l].size());
-  }
-  for (std::size_t i = 0; i < common; ++i)
-#pragma GCC unroll 4  // keep the chains in registers at -O2 as well
-    for (std::size_t l = 0; l < L; ++l)
-      h[l] = fnv1a_byte(h[l], static_cast<unsigned char>(keys[l][i]));
-  for (std::size_t l = 0; l < L; ++l) {
-    for (std::size_t i = common; i < keys[l].size(); ++i)
-      h[l] = fnv1a_byte(h[l], static_cast<unsigned char>(keys[l][i]));
-    out[l] = h[l];
-  }
+// XXH64 (github.com/Cyan4973/xxHash, XXH64 spec): four 64-bit
+// accumulators over 32-byte stripes, then 8-, 4- and 1-byte tails and a
+// final avalanche. Loads go through memcpy, so any alignment is fine.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+std::uint64_t load_le32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap32(v);
+  return v;
+}
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kP2, 31) * kP1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ xxh_round(0, acc)) * kP1 + kP4;
 }
 
 }  // namespace
 
-void fnv1a_many(std::span<const std::string_view> keys,
-                std::span<std::uint64_t> out) {
-  assert(out.size() >= keys.size());
-  std::size_t g = 0;
-  for (; g + 4 <= keys.size(); g += 4) fnv1a_lanes<4>(&keys[g], &out[g]);
-  // The leftover group interleaves too: RS(4,2) hashes six siblings, and
-  // two serial chains would cost as much as the four-lane group.
-  switch (keys.size() - g) {
-    case 3: fnv1a_lanes<3>(&keys[g], &out[g]); break;
-    case 2: fnv1a_lanes<2>(&keys[g], &out[g]); break;
-    case 1: out[g] = fnv1a(keys[g]); break;
-    default: break;
+std::uint64_t content_checksum(std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  const std::uint8_t* const end = p + n;
+  std::uint64_t h = kP5;
+  if (n >= 32) {
+    std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (const std::uint8_t* const last = end - 32; p <= last; p += 32) {
+      v1 = xxh_round(v1, load_le64(p));
+      v2 = xxh_round(v2, load_le64(p + 8));
+      v3 = xxh_round(v3, load_le64(p + 16));
+      v4 = xxh_round(v4, load_le64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = xxh_merge(xxh_merge(xxh_merge(xxh_merge(h, v1), v2), v3), v4);
   }
+  h += n;
+  for (; end - p >= 8; p += 8)
+    h = std::rotl(h ^ xxh_round(0, load_le64(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load_le32(p) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
 }
 
 std::uint64_t fnv1a_decimal(std::uint64_t h, std::uint64_t value) {

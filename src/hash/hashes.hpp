@@ -1,12 +1,17 @@
-// Hash functions used by the placement schemes.
+// Hash functions used by the placement schemes and for stored values.
 //
-// Two families:
+// Three families:
 //  - tr_weight(): the 31-bit linear-congruential "random weight" function
 //    from Thaler & Ravishankar (1998), the function the MemFSS paper says
 //    it keeps for its weighted scheme.
-//  - mix64()/hash_bytes(): a 64-bit finalizer-based mixer (xxhash/splitmix
-//    style) used as the default score function; better dispersion, same
-//    API.
+//  - mix64()/key_digest(): a 64-bit finalizer-based mixer (splitmix style)
+//    used as the default score function, over FNV-1a key digests; better
+//    dispersion, same API. Keys are short, so FNV-1a's byte-serial chain
+//    costs nothing there.
+//  - content_checksum(): the one checksum of a value's bytes (stored
+//    blobs, EC siblings and manifests, GET verification). Values run to
+//    64 KiB and more, so it is XXH64, which hashes four 8-byte lanes per
+//    step instead of one byte.
 #pragma once
 
 #include <cstdint>
@@ -27,16 +32,11 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b);
 /// FNV-1a over bytes; stable across platforms.
 std::uint64_t fnv1a(std::string_view bytes);
 
-/// Batch FNV-1a: out[i] = fnv1a(keys[i]) for every i, bit-identical to
-/// the one-at-a-time call. Four independent hash chains (two or three
-/// for a leftover group) are advanced in lockstep so the 64-bit multiply
-/// latency of one chain hides behind the others -- FNV's byte-serial
-/// dependency chain is the throughput limiter, not memory. Requires
-/// out.size() >= keys.size().
-/// This is the per-stripe-key digest path batched: hashing many sibling
-/// /stripe keys per call instead of one per lookup (DESIGN.md §14).
-void fnv1a_many(std::span<const std::string_view> keys,
-                std::span<std::uint64_t> out);
+/// The checksum of a stored value's content: XXH64 with seed 0, the same
+/// value on every platform (content_checksum({}) == 0xEF46DB3751D8E999).
+/// Every place that hashes or verifies value bytes calls this rather than
+/// naming an algorithm (DESIGN.md §14).
+std::uint64_t content_checksum(std::span<const std::uint8_t> bytes);
 
 /// Digest a string key for use with mix64/tr_weight.
 std::uint64_t key_digest(std::string_view key);

@@ -2,7 +2,9 @@
 // unit tests and the standalone examples) or *ghost* (size-only
 // accounting, used by cluster experiments where simulated datasets reach
 // hundreds of GB and holding real payloads would be absurd). Both kinds
-// carry a checksum so corruption tests work uniformly.
+// carry a checksum so corruption tests work uniformly: a materialized
+// blob's is hash::content_checksum of its bytes, a ghost's is mix64 of its
+// size and tag.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +22,13 @@ class Blob {
   /// A blob backed by real bytes.
   static Blob materialized(std::vector<std::uint8_t> bytes);
 
-  /// A blob backed by real bytes whose FNV-1a the caller already holds,
-  /// so large values are not hashed twice. `fnv` must be exactly
-  /// hash::fnv1a over `bytes` -- computed or verified over these very
-  /// bytes just before the call; the result is indistinguishable from
-  /// materialized(bytes).
+  /// A blob backed by real bytes whose checksum the caller already
+  /// holds, so large values are not hashed twice. `checksum` must be
+  /// exactly hash::content_checksum over `bytes` -- computed or verified
+  /// over these very bytes just before the call; the result is
+  /// indistinguishable from materialized(bytes).
   static Blob materialized_with_checksum(std::vector<std::uint8_t> bytes,
-                                         std::uint64_t fnv);
+                                         std::uint64_t checksum);
 
   /// A size-only blob; `tag` stands in for the content (checksummed).
   static Blob ghost(Bytes size, std::uint64_t tag = 0);

@@ -12,20 +12,17 @@ namespace memfss::kvstore {
 Blob Blob::materialized(std::vector<std::uint8_t> bytes) {
   Blob b;
   b.size_ = bytes.size();
-  b.checksum_ = memfss::hash::fnv1a(
-      {reinterpret_cast<const char*>(bytes.data()), bytes.size()});
+  b.checksum_ = memfss::hash::content_checksum(bytes);
   b.data_ = std::move(bytes);
   return b;
 }
 
 Blob Blob::materialized_with_checksum(std::vector<std::uint8_t> bytes,
-                                     std::uint64_t fnv) {
-  assert(fnv == memfss::hash::fnv1a(
-                    {reinterpret_cast<const char*>(bytes.data()),
-                     bytes.size()}));
+                                     std::uint64_t checksum) {
+  assert(checksum == memfss::hash::content_checksum(bytes));
   Blob b;
   b.size_ = bytes.size();
-  b.checksum_ = fnv;
+  b.checksum_ = checksum;
   b.data_ = std::move(bytes);
   return b;
 }
@@ -39,9 +36,7 @@ Blob Blob::ghost(Bytes size, std::uint64_t tag) {
 
 bool Blob::verify() const {
   if (data_.empty()) return !corrupted_;
-  const auto actual = memfss::hash::fnv1a(
-      {reinterpret_cast<const char*>(data_.data()), data_.size()});
-  return actual == checksum_ && !corrupted_;
+  return memfss::hash::content_checksum(data_) == checksum_ && !corrupted_;
 }
 
 void Blob::corrupt_for_test() {

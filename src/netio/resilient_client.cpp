@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <string_view>
 #include <thread>
 
 #include "hash/hashes.hpp"
@@ -136,10 +135,7 @@ CallOutcome ResilientClient::call(const Frame& request, bool idempotent,
       // End-to-end integrity: the payload must hash to the checksum the
       // store computed at PUT time. A mismatch that slipped past the
       // frame checksum is still never surfaced as data.
-      const std::uint64_t c = hash::fnv1a(std::string_view(
-          reinterpret_cast<const char*>(resp.value.data()),
-          resp.value.size()));
-      if (c != resp.checksum) {
+      if (hash::content_checksum(resp.value) != resp.checksum) {
         ++stats_.value_checksum_failures;
         return broken;
       }

@@ -26,10 +26,10 @@
 //     server answer -- permission during AUTH included -- closes it;
 //   - integrity: a corrupted frame (decoder checksum failure), a
 //     response carrying kFlagProtocolError, a response for a request id
-//     we never sent, or a GET payload whose fnv1a disagrees with the
-//     frame's checksum field is *never* surfaced as data -- the
-//     connection is aborted and, once the deadline is spent, the call
-//     fails with Errc::fatal.
+//     we never sent, or a GET payload whose hash::content_checksum
+//     disagrees with the frame's checksum field is *never* surfaced as
+//     data -- the connection is aborted and, once the deadline is spent,
+//     the call fails with Errc::fatal.
 //
 // One request in flight per client; not thread-safe (use one per
 // worker thread, as the loadgen does).

@@ -14,11 +14,6 @@ constexpr char kSep = '\x01';
 constexpr std::size_t kManifestBytes = 24;
 constexpr std::uint8_t kVersion = 1;
 
-std::uint64_t payload_fnv(std::span<const std::uint8_t> bytes) {
-  return hash::fnv1a(std::string_view(
-      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-}
-
 void put_le64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
@@ -99,23 +94,19 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
 
   if (!bytes.empty()) {
     // Code the whole stripe in one pass straight into the sibling
-    // buffers, hash all k+m siblings in one batched call, then hand each
-    // buffer to its own sibling key.
+    // buffers, then hand each buffer, hashed once, to its own sibling key.
     std::vector<std::vector<std::uint8_t>> shards(total);
     std::vector<std::uint8_t*> ptrs(total);
-    std::vector<std::string_view> views(total);
     for (std::size_t i = 0; i < total; ++i) {
       shards[i].resize(ss);
       ptrs[i] = shards[i].data();
-      views[i] = {reinterpret_cast<const char*>(ptrs[i]), ss};
     }
     if (auto st = rs.encode_into(bytes, ptrs.data(), ss); !st.ok()) return st;
-    std::vector<std::uint64_t> sums(total);
-    hash::fnv1a_many(views, sums);
     for (std::size_t i = 0; i < total; ++i) {
+      const std::uint64_t sum = hash::content_checksum(shards[i]);
       auto st = store.put(token, shard_key(key, i),
                           kvstore::Blob::materialized_with_checksum(
-                              std::move(shards[i]), sums[i]),
+                              std::move(shards[i]), sum),
                           nullptr, tenant);
       if (!st.ok()) {
         // Never leave a half-written stripe readable: roll this
@@ -126,12 +117,14 @@ Status put(ShardedStore& store, std::string_view token, std::string_view key,
     }
   }
 
-  // A materialized value already carries fnv1a(bytes) -- the reactor
-  // computed it when the frame arrived -- so the manifest reuses it
-  // rather than hashing the payload again. A ghost has no bytes to code
-  // and its checksum is not an FNV, so its manifest holds fnv1a("").
+  // A materialized value already carries content_checksum(bytes) -- the
+  // reactor computed it when the frame arrived -- so the manifest reuses
+  // it rather than hashing the payload again. A ghost has no bytes to
+  // code and its checksum is a size tag, so its manifest holds the
+  // checksum of no bytes.
   const Manifest mf{rs.data_shards(), rs.parity_shards(), bytes.size(),
-                    bytes.empty() ? hash::fnv1a_seed() : value.checksum()};
+                    bytes.empty() ? hash::content_checksum({})
+                                  : value.checksum()};
   if (auto st = store.put(token, manifest_key(key), encode_manifest(mf), seq,
                           tenant);
       !st.ok()) {
@@ -214,7 +207,7 @@ Result<kvstore::Blob> get(ShardedStore& store, std::string_view token,
     // The one hash of the reassembled payload: it verifies the stripe
     // against the manifest and, once it matches, is the returned blob's
     // checksum.
-    if (payload_fnv(payload) == mf->checksum)
+    if (hash::content_checksum(payload) == mf->checksum)
       return kvstore::Blob::materialized_with_checksum(std::move(payload),
                                                        mf->checksum);
     last = {Errc::corruption, "stripe checksum mismatch"};

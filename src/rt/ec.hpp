@@ -4,7 +4,7 @@
 // A logical key K with policy RS(k, m) is stored as k+m+1 *sibling*
 // keys in the sharded store:
 //
-//   K '\x01' "rs*"          manifest: {k, m, original_len, payload fnv}
+//   K '\x01' "rs*"          manifest: {k, m, original_len, payload checksum}
 //   K '\x01' "rs" <i>       shard i, i in [0, k+m) -- k data, m parity
 //
 // '\x01' cannot appear in client keys arriving over the wire protocol's
@@ -18,7 +18,7 @@
 // reconstructs them from any k surviving siblings.
 //
 // Concurrency: one EC op issues several store ops, so composite ops are
-// not atomic. The manifest carries the payload's FNV-1a checksum and
+// not atomic. The manifest carries the payload's content checksum and
 // get() verifies it after reassembly (retrying a torn read a couple of
 // times before reporting corruption); last-writer-wins applies at the
 // manifest. Concurrent writers to the *same* logical key can strand
@@ -44,12 +44,12 @@ std::string shard_key(std::string_view key, std::size_t idx);
 std::string manifest_key(std::string_view key);
 
 /// Manifest payload (24 bytes on the wire: magic "MFRS", version, k, m,
-/// original length, payload FNV-1a).
+/// original length, payload checksum).
 struct Manifest {
   std::size_t k = 0;
   std::size_t m = 0;
   std::uint64_t len = 0;       ///< original payload length
-  std::uint64_t checksum = 0;  ///< fnv1a over the payload bytes
+  std::uint64_t checksum = 0;  ///< hash::content_checksum of the payload
 };
 
 kvstore::Blob encode_manifest(const Manifest& mf);

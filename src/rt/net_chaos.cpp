@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <set>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -294,11 +293,8 @@ NetChaosResult run_net_chaos(const NetChaosOptions& opt) {
           if (code == Errc::ok) {
             if (ks.maybe_values.count(f.checksum)) {
               // Allowed by the model; also check the bytes themselves.
-              const std::string_view bytes(
-                  reinterpret_cast<const char*>(f.value.data()),
-                  f.value.size());
               if (f.value.size() == f.value_size &&
-                  hash::fnv1a(bytes) != f.checksum)
+                  hash::content_checksum(f.value) != f.checksum)
                 ++res.consistency_violations;
             } else if (ks.ever.count(f.checksum)) {
               ++res.duplicated_acks;

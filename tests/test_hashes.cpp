@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
-#include <string>
-#include <string_view>
+#include <span>
 #include <vector>
 
 namespace memfss::hash {
@@ -63,73 +63,61 @@ TEST(KeyDigest, MatchesFnv) {
   EXPECT_EQ(key_digest("stripe-17"), fnv1a("stripe-17"));
 }
 
-// The batched digest loop must be bit-identical to fnv1a per key: its
-// output feeds placement, where a single differing digest silently
-// moves data.
-TEST(Fnv1aMany, MatchesSingleShotEveryBatchShape) {
-  // Every batch size around the 4-lane grouping (0..9 covers full
-  // groups, partial tails, and the empty batch) with mixed-length keys,
-  // including empty ones.
-  std::vector<std::string> pool;
-  for (int i = 0; i < 16; ++i)
-    pool.push_back(std::string(std::size_t(i) * 3, char('a' + i)) +
-                   std::to_string(i * 131071));
-  pool[3].clear();
-  pool[11].clear();
-  for (std::size_t n = 0; n <= pool.size(); ++n) {
-    std::vector<std::string_view> keys(pool.begin(),
-                                       pool.begin() + std::ptrdiff_t(n));
-    std::vector<std::uint64_t> out(n, 0xDEAD);
-    fnv1a_many(keys, out);
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(out[i], fnv1a(keys[i])) << "n=" << n << " i=" << i;
-  }
+// Test input: byte i of the pattern is (i * 131 + 7) mod 256.
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  return b;
 }
 
-TEST(Fnv1aMany, MatchesSingleShotLargeUniformBatch) {
-  // The bench shape: many keys of identical length, so the interleaved
-  // lanes run the full lockstep loop with no serial tail.
-  std::vector<std::string> keys;
-  for (int i = 0; i < 1000; ++i)
-    keys.push_back("i12345:" + std::to_string(1000000 + i) +
-                   ":stripe-payload-key");
-  std::vector<std::string_view> views(keys.begin(), keys.end());
-  std::vector<std::uint64_t> out(views.size());
-  fnv1a_many(views, out);
-  for (std::size_t i = 0; i < views.size(); ++i)
-    ASSERT_EQ(out[i], fnv1a(views[i])) << i;
+TEST(ContentChecksum, KnownAnswersMatchXxh64) {
+  // Reference values from llvm::xxHash64 (LLVM 14, seed 0) over the
+  // first n bytes of pattern(). The lengths cover the short-input path,
+  // every tail (8-, 4- and 1-byte steps), the 32-byte stripe boundary
+  // and multi-stripe inputs up to a 64 KiB value.
+  struct Kat {
+    std::size_t n;
+    std::uint64_t want;
+  };
+  const Kat kats[] = {
+      {0, 0xEF46DB3751D8E999ull},     {1, 0xA96C7F0CE858BBB7ull},
+      {3, 0xBED43740EE6332BBull},     {4, 0xFA212AE44B3BB23Dull},
+      {7, 0x2744460DD675D2C0ull},     {8, 0x994B676B71CE94DDull},
+      {31, 0x6711D55E306B5D8Full},    {32, 0x07F7B8E3BC5D6E25ull},
+      {33, 0x09F85EEB4E1CBE9Full},    {63, 0xB7C9968C066CB6A5ull},
+      {64, 0x50D4159A0411632Eull},    {100, 0x9DDADA11D3DC2D8Full},
+      {4097, 0x00811AB3925B884Aull},  {65536, 0x42A4749843255CECull},
+  };
+  const auto bytes = pattern(65536);
+  for (const Kat& k : kats)
+    EXPECT_EQ(content_checksum(std::span(bytes).first(k.n)), k.want)
+        << "n=" << k.n;
+  EXPECT_EQ(content_checksum({}), 0xEF46DB3751D8E999ull);
 }
 
-TEST(Fnv1aMany, MatchesSingleShotSiblingShapedBatches) {
-  // Stripe-sibling shapes: batch sizes 1..9 (every leftover group size
-  // after the 4-lane groups), with all keys of one length and with
-  // ragged lengths so each lane group runs a serial tail.
-  std::string pool(9 * 2100, '\0');
-  std::uint64_t x = 5;
-  for (auto& c : pool) c = static_cast<char>(mix64(x++, 0));
-  for (const bool ragged : {false, true}) {
-    for (std::size_t n = 1; n <= 9; ++n) {
-      std::vector<std::string_view> keys;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t len = ragged ? 2048 - 37 * i + (i % 3) * 11 : 2048;
-        keys.push_back(std::string_view(pool).substr(i * 2100, len));
+TEST(ContentChecksum, EverySingleBitFlipChangesTheResult) {
+  // Lengths 1-300 at offsets 0-7 from an 8-aligned buffer cover the
+  // stripe loop and each tail at every alignment; the unflipped result
+  // must also not depend on where the bytes sit.
+  const std::size_t kMax = 300;
+  std::vector<std::uint64_t> backing(kMax / 8 + 2);
+  auto* base = reinterpret_cast<std::uint8_t*>(backing.data());
+  for (std::size_t len = 1; len <= kMax; ++len) {
+    const auto ref = pattern(len);
+    const std::uint64_t want = content_checksum(ref);
+    for (std::size_t off = 0; off < 8; ++off) {
+      std::span<std::uint8_t> s(base + off, len);
+      std::copy(ref.begin(), ref.end(), s.begin());
+      ASSERT_EQ(content_checksum(s), want) << "len=" << len << " off=" << off;
+      for (std::size_t bit = 0; bit < len * 8; ++bit) {
+        s[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        ASSERT_NE(content_checksum(s), want)
+            << "len=" << len << " off=" << off << " bit=" << bit;
+        s[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       }
-      std::vector<std::uint64_t> out(n, 0xDEAD);
-      fnv1a_many(keys, out);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(out[i], fnv1a(keys[i]))
-            << "ragged=" << ragged << " n=" << n << " i=" << i;
     }
   }
-}
-
-TEST(Fnv1aMany, KnownVectors) {
-  const std::vector<std::string_view> keys{"", "a", "foobar"};
-  std::vector<std::uint64_t> out(3);
-  fnv1a_many(keys, out);
-  EXPECT_EQ(out[0], 0xcbf29ce484222325ull);
-  EXPECT_EQ(out[1], 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(out[2], 0x85944171f73967e8ull);
 }
 
 }  // namespace

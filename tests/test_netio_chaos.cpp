@@ -13,7 +13,8 @@
 //     opens against a dead port and closes again via half-open once the
 //     server appears (also when that trial is answered `permission`),
 //     and a corrupted response frame is retried --
-//     surfacing the *correct* bytes, never the corrupted ones.
+//     surfacing the *correct* bytes, never the corrupted ones; a stored
+//     value damaged after hashing fails its GET instead of surfacing.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -375,6 +376,40 @@ TEST(NetioChaos, CorruptedResponseIsRetriedNeverSurfaced) {
   EXPECT_GE(rc.stats().corrupt_frames, 1u);
   EXPECT_EQ(rc.stats().value_checksum_failures, 0u);
   EXPECT_GT(proxy.stats().chunks_corrupted, 0u);
+}
+
+// A value whose bytes were damaged after the store hashed them reaches
+// the client in an intact frame (the frame checksum covers the damaged
+// bytes), so only the end-to-end value checksum can catch it. The call
+// must fail rather than surface those bytes as data.
+TEST(NetioChaos, ValueDamagedAfterHashingIsNeverSurfaced) {
+  Stack fx;
+  std::vector<std::uint8_t> payload(4097);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 29 + 3);
+  rt::Op put;
+  put.type = rt::Op::Type::put;
+  put.key = "rotten";
+  put.value = kvstore::Blob::materialized(payload);
+  put.value.corrupt_for_test();
+  const auto view = put.value.bytes();
+  const std::vector<std::uint8_t> damaged(view.begin(), view.end());
+  ASSERT_NE(damaged, payload);
+  ASSERT_EQ(fx.server.submit("rt", std::move(put)).get().code, Errc::ok);
+
+  ResilientOptions opt;
+  opt.port = fx.tcp.port();
+  opt.auth_token = "rt";
+  opt.attempt_recv_timeout_s = 0.2;
+  opt.default_deadline_s = 0.3;
+  opt.backoff_base_s = 0.001;
+  opt.backoff_max_s = 0.01;
+  ResilientClient rc(opt);
+
+  const CallOutcome get = rc.call(NetClient::make_get(1, 0, "rotten"), true);
+  EXPECT_NE(get.code, Errc::ok);
+  EXPECT_NE(get.response.value, damaged);
+  EXPECT_GE(rc.stats().value_checksum_failures, 1u);
 }
 
 }  // namespace

@@ -92,17 +92,13 @@ TEST(RtEc, PutGetRoundtripVariousSizes) {
   }
 }
 
-// ec::put reuses the value's checksum for the manifest and hashes the
-// siblings in one batch; ec::get hashes the payload once and hands that
-// checksum to the returned blob. Every stored and returned checksum must
-// still be exactly FNV-1a over the bytes it describes, on the fast path
-// and on the reconstruct path, for sibling counts that exercise every
-// batch grouping (4+2, 4+1, 4+3, 4+4+3).
-TEST(RtEc, ChecksumsEqualFnvOfTheirBytesThroughPutAndGet) {
-  auto fnv = [](std::span<const std::uint8_t> b) {
-    return hash::fnv1a(
-        {reinterpret_cast<const char*>(b.data()), b.size()});
-  };
+// ec::put reuses the value's checksum for the manifest and hashes each
+// sibling once; ec::get hashes the payload once and hands that checksum
+// to the returned blob. Every stored and returned checksum must still be
+// exactly hash::content_checksum over the bytes it describes, on the fast
+// path and on the reconstruct path, for several sibling counts (4+2,
+// 3+2, 5+2, 8+3).
+TEST(RtEc, ChecksumsEqualContentChecksumOfTheirBytesThroughPutAndGet) {
   const std::pair<std::size_t, std::size_t> codes[] = {
       {4, 2}, {3, 2}, {5, 2}, {8, 3}};
   for (const auto& [k, m] : codes) {
@@ -119,12 +115,14 @@ TEST(RtEc, ChecksumsEqualFnvOfTheirBytesThroughPutAndGet) {
       ASSERT_TRUE(mres.ok());
       const auto mf = ec::parse_manifest(mres.value().bytes());
       ASSERT_TRUE(mf.has_value());
-      EXPECT_EQ(mf->checksum, fnv(value.bytes()));
+      EXPECT_EQ(mf->checksum, hash::content_checksum(value.bytes()));
       for (std::size_t i = 0; i < k + m; ++i) {
         auto sib = store.get("tok", ec::shard_key("obj", i));
         ASSERT_TRUE(sib.ok()) << i;
         EXPECT_TRUE(sib.value().verify()) << i;
-        EXPECT_EQ(sib.value().checksum(), fnv(sib.value().bytes())) << i;
+        EXPECT_EQ(sib.value().checksum(),
+                  hash::content_checksum(sib.value().bytes()))
+            << i;
       }
 
       auto check_get = [&](bool expect_rebuild) {
@@ -133,7 +131,8 @@ TEST(RtEc, ChecksumsEqualFnvOfTheirBytesThroughPutAndGet) {
         ASSERT_TRUE(got.ok());
         EXPECT_EQ(rebuilt, expect_rebuild);
         EXPECT_TRUE(got.value().verify());
-        EXPECT_EQ(got.value().checksum(), fnv(got.value().bytes()));
+        EXPECT_EQ(got.value().checksum(),
+                  hash::content_checksum(got.value().bytes()));
         EXPECT_EQ(got.value(), value);
       };
       check_get(false);
